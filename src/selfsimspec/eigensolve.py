@@ -5,16 +5,18 @@ magnitude, and the small eigenvalues carry the asymptotics that the rest
 of the package verifies. Norm-based eigensolvers lose them; everything
 here therefore works with relative thresholds:
 
-* Sturm counts plus bisection with geometric midpoints for tridiagonals,
-  with per-eigenvalue brackets isolated on a binary probe grid first so
-  the iteration cap holds across the full dynamic range;
+* one inertia-count bisection core for tridiagonal problems
+  T y = lambda * diag(m) y: the section (unit mass) and the
+  stiffness/mass pencil (the weight's masses, of either sign). LDL^T
+  pivot signs of T - x*diag(m) count the eigenvalues below each probe;
+  brackets are isolated on a binary probe grid first, so each spans at
+  most a factor of 2 and the iteration cap holds across the full dynamic
+  range, then cut by multisection, many probes per vectorised count;
+* twisted LDL^T factorizations for pencil eigenvectors, O(N) each;
 * cyclic Jacobi rotations with the relative threshold
   |a_pq| <= tol*sqrt(|a_pp*a_qq|) and Rutishauser diagonal updates for
-  dense symmetric matrices, which attain high relative accuracy on graded
-  positive definite inputs;
-* a reverse (last-row-first) bidiagonal Cholesky for the pencil reduction,
-  which keeps the reduced matrix graded-aligned where the forward
-  factorization would destroy the small eigenvalues.
+  dense symmetric matrices (the Green-kernel route), which attain high
+  relative accuracy on graded positive definite inputs.
 
 Iteration caps (120 bisection steps, 30 Jacobi sweeps, 50 inverse
 iteration steps) are diagnostics, not tunables.
@@ -32,7 +34,6 @@ from .errors import (
     NonConvergence,
     NotPositiveDefinite,
     OutOfRange,
-    RangeOverflow,
     ZeroEigenvalue,
 )
 from .operators import TridiagonalSymmetric
@@ -66,9 +67,11 @@ class PencilProblem:
 class EigenvalueList:
     """Ascending eigenvalues with the solver's own accuracy statement.
 
-    residual_bound is relative: bracket width for bisection, off-diagonal
-    Frobenius fraction for Jacobi. dropped counts reciprocal eigenvalues
-    below the underflow guard that were excluded rather than inverted.
+    residual_bound is relative: for bisection (sections and pencils) the
+    widest final bracket over max(|lo|, |hi|), at most eps for pencils,
+    whose brackets close to adjacent doubles; for Jacobi the off-diagonal
+    Frobenius fraction. dropped counts pencil eigenvalues of magnitude
+    beyond 1/_MU_GUARD, which are excluded rather than computed.
     """
 
     values: np.ndarray
@@ -77,40 +80,79 @@ class EigenvalueList:
     dropped: int = 0
 
 
-def _off_squares(T: TridiagonalSymmetric) -> np.ndarray:
-    off2 = T.offdiag * T.offdiag
-    if not np.all(np.isfinite(off2)):
-        raise RangeOverflow("squared off-diagonal overflows; reduce the order")
-    return off2
+def _pivots(diag, off, mass, xs):
+    """LDL^T pivots of T - x*diag(mass), row by row, one entry per shift x.
 
-
-def _sturm_counts(diag: np.ndarray, off2: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Eigenvalues strictly below each probe, by the LDL^T pivot signs."""
-    xs = np.asarray(xs, dtype=float)
-    cnt = np.zeros(xs.shape, dtype=np.int64)
-    piv = diag[0] - xs
-    cnt += piv < 0
-    for i in range(1, len(diag)):
+    The update (d_i - x*m_i) - off*(off/piv) squares no entry, so it stays
+    in range wherever T does; pivots below _PIVMIN in magnitude are moved
+    to +-_PIVMIN, keeping their sign, before they divide.
+    """
+    piv = diag[0] - xs * mass[0]
+    for i in range(len(diag)):
+        if i:
+            piv = (diag[i] - xs * mass[i]) - off[i - 1] * (off[i - 1] / piv)
         small = np.abs(piv) < _PIVMIN
         if small.any():
-            piv = np.where(small, np.where(piv < 0, -_PIVMIN, _PIVMIN), piv)
-        piv = (diag[i] - xs) - off2[i - 1] / piv
-        cnt += piv < 0
-    return cnt
+            piv = np.where(small, np.where(piv < 0.0, -_PIVMIN, _PIVMIN), piv)
+        yield piv
+
+
+def _counts_below(diag, off, mass, probes) -> np.ndarray:
+    """Eigenvalues of T y = lambda*diag(mass) y strictly below each probe.
+
+    By Sylvester's law the negative pivots nu(x) of T - x*diag(mass) count
+    the eigenvalues below x when every mass is positive (any symmetric T).
+    With negative masses T must be positive definite; nu(x) then counts the
+    eigenvalues between 0 and x, the n_neg negative masses give n_neg
+    negative eigenvalues, and the count below x is n_neg + nu(x) for x > 0
+    and n_neg - nu(x) for x < 0. An overflowed x*m_i keeps its sign, which
+    is all a count needs.
+    """
+    xs = np.asarray(probes, dtype=float)
+    nu = np.zeros(xs.shape, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        for piv in _pivots(diag, off, mass, xs):
+            nu += piv < 0.0
+    n_neg = int(np.sum(mass < 0.0))
+    if n_neg == 0:
+        return nu
+    return np.where(xs < 0.0, n_neg - nu, n_neg + nu)
 
 
 def sturm_count(T: TridiagonalSymmetric, x: float) -> int:
     """Number of eigenvalues of T strictly below x."""
-    return int(_sturm_counts(T.diag, _off_squares(T), np.array([float(x)]))[0])
+    return int(_counts_below(T.diag, T.offdiag, np.ones(T.order), [float(x)])[0])
+
+
+def _gershgorin(diag, off, mass) -> tuple[float, float]:
+    """Interval holding every eigenvalue of T y = lambda*diag(mass) y.
+
+    Gershgorin on sign(m) |M|^(-1/2) T |M|^(-1/2): row i has centre d_i/m_i
+    and radius the scaled off-diagonals |e|/sqrt(|m_i*m_j|) beside it. The
+    interval is widened by 1e-10 of its largest end; a row that overflows
+    (tiny masses) widens it to the whole line.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(np.abs(mass))
+        scaled = np.abs(off) / root[:-1] / root[1:]
+        rad = np.zeros(len(diag))
+        rad[:-1] += scaled
+        rad[1:] += scaled
+        centre = diag / mass
+        lo, hi = centre - rad, centre + rad
+    glo = float(np.min(np.where(np.isnan(lo), -np.inf, lo)))
+    ghi = float(np.max(np.where(np.isnan(hi), np.inf, hi)))
+    pad = 1e-10 * max(abs(glo), abs(ghi), 1.0)
+    return glo - pad, ghi + pad
 
 
 def _probe_grid(glo: float, ghi: float) -> np.ndarray:
     """Binary grid over the Gershgorin interval, refined toward zero.
 
     Halving toward zero from each endpoint isolates eigenvalues of either
-    sign across the full dynamic range; brackets taken from this grid have
-    bounded log-width, so geometric bisection needs ~45 steps regardless
-    of magnitude.
+    sign across the full dynamic range: every bracket taken from this grid
+    spans a factor of at most 2 or ends at zero below |x| = 2e-300, so the
+    multisection steps needed do not depend on the eigenvalue's magnitude.
     """
     probes = [glo, ghi]
     if ghi > 0.0:
@@ -130,6 +172,49 @@ def _probe_grid(glo: float, ghi: float) -> np.ndarray:
     return np.unique(np.asarray(probes))
 
 
+def _bisect(diag, off, mass, glo: float, ghi: float, idxs: np.ndarray, tol: float):
+    """Eigenvalues idxs (1-based, ascending) of T y = lambda*diag(mass) y in [glo, ghi].
+
+    Each bracket from the probe grid is cut into 2^b equal parts per step,
+    all brackets in one vectorised count (b grows as fewer brackets remain,
+    since a count's cost is mostly per row, not per probe), until it is
+    <= tol wide relative to its ends, or its ends are adjacent doubles
+    (tol = 0). Returns (values, widest final relative bracket width).
+    """
+    probes = _probe_grid(glo, ghi)
+    reached = np.maximum.accumulate(_counts_below(diag, off, mass, probes))
+    j = np.clip(np.searchsorted(reached, idxs), 1, len(probes) - 1)
+    los, his = probes[j - 1], probes[j]
+
+    active = np.ones(len(idxs), dtype=bool)
+    for _ in range(_BISECT_CAP):
+        act = np.flatnonzero(active)
+        if not len(act):
+            break
+        parts = 2 ** min(6, max(1, int(math.log2(4096 / len(act)))))
+        frac = np.arange(1, parts) / parts
+        lo, hi = los[act, None], his[act, None]
+        # lo*(1-f) + hi*f cannot overflow; f = 1/2 splits any 2-ulp bracket
+        pts = np.minimum(np.maximum(lo * (1.0 - frac) + hi * frac, lo), hi)
+        cnt = _counts_below(diag, off, mass, pts.ravel()).reshape(pts.shape)
+        # points before the first count >= idx; monotone even if roundoff is not
+        c = np.sum(~np.logical_or.accumulate(cnt >= idxs[act, None], axis=1), axis=1)
+        ends = np.hstack((lo, pts, hi))
+        rows = np.arange(len(act))
+        new_lo, new_hi = ends[rows, c], ends[rows, c + 1]
+        stuck = (new_lo == los[act]) & (new_hi == his[act])
+        los[act], his[act] = new_lo, new_hi
+        done = (new_hi - new_lo) <= tol * np.maximum(np.abs(new_lo), np.abs(new_hi)) + _PIVMIN
+        active[act[done | stuck]] = False
+    if active.any():
+        raise NonConvergence(f"bisection cap {_BISECT_CAP} reached")
+    vals = 0.5 * (los + his)
+    vals = np.maximum.accumulate(vals)  # enforce monotone output against roundoff
+    scale = np.maximum(np.maximum(np.abs(los), np.abs(his)), _PIVMIN)
+    width = float(np.max((his - los) / scale)) if len(idxs) else 0.0
+    return vals, width
+
+
 def tridiag_eigs(
     T: TridiagonalSymmetric,
     index_range: tuple[int, int] | None = None,
@@ -137,9 +222,8 @@ def tridiag_eigs(
 ) -> EigenvalueList:
     """Eigenvalues lambda_k1..lambda_k2 (1-based, ascending) by bisection.
 
-    Each eigenvalue is bracketed to relative width <= tol. Midpoints are
-    geometric once the bracket has one sign, so the step count depends on
-    the bracket's log-width, not its magnitude.
+    The inertia core with unit mass; each eigenvalue is bracketed to
+    relative width <= tol.
     """
     if tol < 4 * _EPS:
         raise OutOfRange(f"tol below 4*eps: {tol!r}")
@@ -150,53 +234,10 @@ def tridiag_eigs(
         k1, k2 = int(index_range[0]), int(index_range[1])
         if not 1 <= k1 <= k2 <= n:
             raise OutOfRange(f"index range {index_range!r} outside 1..{n}")
-    diag = np.asarray(T.diag, dtype=float)
-    off2 = _off_squares(T)
-    rad = np.zeros(n)
-    if n > 1:
-        rad[:-1] += np.abs(T.offdiag)
-        rad[1:] += np.abs(T.offdiag)
-    glo = float(np.min(diag - rad))
-    ghi = float(np.max(diag + rad))
-    pad = 1e-10 * max(abs(glo), abs(ghi), 1.0)
-    glo, ghi = glo - pad, ghi + pad
-
-    probes = _probe_grid(glo, ghi)
-    counts = _sturm_counts(diag, off2, probes)
-    idxs = np.arange(k1, k2 + 1)
-    los = np.empty(len(idxs))
-    his = np.empty(len(idxs))
-    for j, idx in enumerate(idxs):
-        below = probes[counts < idx]
-        above = probes[counts >= idx]
-        los[j] = below[-1] if len(below) else glo
-        his[j] = above[0] if len(above) else ghi
-
-    active = np.ones(len(idxs), dtype=bool)
-    for _ in range(_BISECT_CAP):
-        if not active.any():
-            break
-        lo, hi = los[active], his[active]
-        # geometric mean via separate roots: no spurious invalid/overflow
-        # in the branches np.where discards
-        geo = np.sqrt(np.abs(lo)) * np.sqrt(np.abs(hi))
-        mid = np.where(lo > 0.0, geo, np.where(hi < 0.0, -geo, 0.5 * (lo + hi)))
-        stuck = (mid <= lo) | (mid >= hi)
-        mid = np.where(stuck, 0.5 * (lo + hi), mid)
-        cnt = _sturm_counts(diag, off2, mid)
-        go_down = cnt >= idxs[active]
-        his[active] = np.where(go_down, mid, hi)
-        los[active] = np.where(go_down, lo, mid)
-        lo, hi = los[active], his[active]
-        done = (hi - lo) <= tol * np.maximum(np.abs(lo), np.abs(hi)) + _PIVMIN
-        done |= stuck
-        sub = np.flatnonzero(active)
-        active[sub[done]] = False
-    if active.any():
-        raise NonConvergence(f"bisection cap {_BISECT_CAP} reached")
-    vals = 0.5 * (los + his)
-    vals = np.maximum.accumulate(vals)  # enforce monotone output against roundoff
-    return EigenvalueList(vals, residual_bound=tol, method="bisect")
+    unit = np.ones(n)
+    glo, ghi = _gershgorin(T.diag, T.offdiag, unit)
+    vals, width = _bisect(T.diag, T.offdiag, unit, glo, ghi, np.arange(k1, k2 + 1), tol)
+    return EigenvalueList(vals, residual_bound=width, method="bisect")
 
 
 def tridiag_cholesky(K: TridiagonalSymmetric) -> tuple[np.ndarray, np.ndarray]:
@@ -215,42 +256,6 @@ def tridiag_cholesky(K: TridiagonalSymmetric) -> tuple[np.ndarray, np.ndarray]:
             raise NotPositiveDefinite(f"pivot {piv!r} at row {i + 1}")
         ld[i] = math.sqrt(piv)
     return ld, ls
-
-
-def _reverse_cholesky(K: TridiagonalSymmetric) -> tuple[np.ndarray, np.ndarray]:
-    """Upper bidiagonal U with U U^T = K, eliminating from the last row up.
-
-    On the geometrically graded stiffness matrices the forward factor
-    mixes scales (the reduced pencil matrix then has a huge scaled
-    condition number and the small eigenvalues lose ~8 digits); the
-    reverse factor keeps row k scaled like q^k and the reduction stays
-    accurate to machine precision. Returns (diagonal, superdiagonal).
-    """
-    d, e, n = K.diag, K.offdiag, K.order
-    ud = np.empty(n)
-    us = np.empty(max(n - 1, 0))
-    piv = float(d[n - 1])
-    if not piv > 0.0:
-        raise NotPositiveDefinite(f"pivot {piv!r} at row {n}")
-    ud[n - 1] = math.sqrt(piv)
-    for i in range(n - 2, -1, -1):
-        us[i] = e[i] / ud[i + 1]
-        piv = float(d[i]) - us[i] * us[i]
-        if not piv > 0.0:
-            raise NotPositiveDefinite(f"pivot {piv!r} at row {i + 1}")
-        ud[i] = math.sqrt(piv)
-    return ud, us
-
-
-def _upper_bidiag_inverse(ud: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Dense inverse of the upper bidiagonal U, column by column."""
-    n = len(ud)
-    out = np.zeros((n, n))
-    for j in range(n):
-        out[j, j] = 1.0 / ud[j]
-        for i in range(j - 1, -1, -1):
-            out[i, j] = -us[i] * out[i + 1, j] / ud[i]
-    return out
 
 
 def _jacobi(S: np.ndarray, tol: float, want_vectors: bool):
@@ -326,69 +331,64 @@ def dense_symmetric_eigs(S: np.ndarray, tol: float = 1e-13) -> EigenvalueList:
     return EigenvalueList(vals, residual_bound=rel, method="jacobi")
 
 
+def solve_pencil(p: PencilProblem, tol: float = 1e-13) -> EigenvalueList:
+    """Eigenvalues of K y = lambda M y, ascending, by the inertia core.
+
+    The brackets come from Gershgorin on sign(M) |M|^(-1/2) K |M|^(-1/2),
+    cut to |lambda| <= 1/_MU_GUARD; eigenvalues beyond that are counted in
+    dropped. Every bracket closes to adjacent doubles, so the result meets
+    any tol >= eps; tol is accepted for the common solver signature.
+    """
+    K, m, n = p.K, p.M, p.order
+    if _counts_below(K.diag, K.offdiag, np.ones(n), [0.0])[0]:
+        raise NotPositiveDefinite("stiffness matrix has a negative eigenvalue")
+    ceil = 1.0 / _MU_GUARD
+    glo, ghi = _gershgorin(K.diag, K.offdiag, m)
+    glo, ghi = np.clip((glo, ghi), -ceil, ceil)
+    k1, k2 = _counts_below(K.diag, K.offdiag, m, [glo, ghi])
+    if k2 <= k1:
+        raise ZeroEigenvalue("every eigenvalue lies beyond the range guard")
+    vals, width = _bisect(K.diag, K.offdiag, m, glo, ghi, np.arange(k1 + 1, k2 + 1), 0.0)
+    return EigenvalueList(vals, residual_bound=width, method="bisect", dropped=int(n - (k2 - k1)))
+
+
+def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
+    """Unit null vectors of K - lambda*M, one column per eigenvalue, O(N) each.
+
+    Forward and backward LDL^T pivots D+ and D- of K - lambda*M meet at
+    the twist index r where gamma_r = D+_r + D-_r - (K - lambda*M)_rr is
+    smallest in magnitude; with x_r = 1 the two bidiagonal factors carry
+    the solution outward. The sign makes x_r positive.
+    """
+    d, e, m = p.K.diag, p.K.offdiag, p.M
+    n, k = p.order, len(lam)
+    with np.errstate(over="ignore"):
+        fwd = np.array(list(_pivots(d, e, m, lam)))
+        bwd = np.array(list(_pivots(d[::-1], e[::-1], m[::-1], lam)))[::-1]
+        gamma = fwd + bwd - (d[:, None] - m[:, None] * lam)
+    r = np.argmin(np.abs(gamma), axis=0)
+    X = np.zeros((n, k))
+    X[r, np.arange(k)] = 1.0
+    for i in range(n - 2, -1, -1):
+        c = i < r
+        X[i, c] = -(e[i] / fwd[i, c]) * X[i + 1, c]
+    for i in range(1, n):
+        c = i > r
+        X[i, c] = -(e[i - 1] / bwd[i, c]) * X[i - 1, c]
+    return X / np.linalg.norm(X, axis=0)
+
+
 def pencil_eigenpairs(
     p: PencilProblem, tol: float = 1e-13
 ) -> tuple[np.ndarray, np.ndarray, EigenvalueList]:
-    """Eigenvalues and eigenvectors of K y = lambda M y.
+    """Eigenvalues and unit eigenvectors of K y = lambda M y.
 
-    Reduction: K = U U^T (reverse Cholesky), S = U^(-1) M U^(-T); then
-    S z = mu z with mu = 1/lambda and y = U^(-T) z. Jacobi supplies z with
-    componentwise accuracy, so the recovered y supports slope and form
-    checks at relative accuracy. Returns (lambda ascending, y columns,
-    EigenvalueList).
+    Eigenvalues come from solve_pencil, eigenvectors from one twisted
+    factorization each, with the componentwise accuracy that slope and
+    form checks need. Returns (lambda ascending, y columns, EigenvalueList).
     """
-    ud, us = _reverse_cholesky(p.K)
-    Uinv = _upper_bidiag_inverse(ud, us)
-    S = (Uinv * p.M) @ Uinv.T
-    S = 0.5 * (S + S.T)
-    mu, Z, off = _jacobi(S, tol, want_vectors=True)
-    keep = np.abs(mu) >= _MU_GUARD
-    dropped = int(np.sum(~keep))
-    if not keep.any():
-        raise ZeroEigenvalue("all reciprocal eigenvalues below the underflow guard")
-    lam = 1.0 / mu[keep]
-    Y = Uinv.T @ Z[:, keep]
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    Y = Y[:, order]
-    Y = Y / np.linalg.norm(Y, axis=0)
-    fro = float(np.sqrt(np.sum(S * S)))
-    info = EigenvalueList(
-        lam, residual_bound=(off / fro if fro > 0.0 else 0.0), method="pencil", dropped=dropped
-    )
-    return lam, Y, info
-
-
-def solve_pencil(p: PencilProblem, tol: float = 1e-13) -> EigenvalueList:
-    """All pencil eigenvalues, ascending; see pencil_eigenpairs."""
-    return pencil_eigenpairs(p, tol)[2]
-
-
-def _lu_factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partial-pivot LU in place; raises ZeroDivisionError on exact singularity."""
-    LU = np.array(A, dtype=float)
-    n = LU.shape[0]
-    piv = np.arange(n)
-    for k in range(n):
-        j = k + int(np.argmax(np.abs(LU[k:, k])))
-        if LU[j, k] == 0.0:
-            raise ZeroDivisionError
-        if j != k:
-            LU[[k, j], :] = LU[[j, k], :]
-            piv[[k, j]] = piv[[j, k]]
-        LU[k + 1 :, k] /= LU[k, k]
-        LU[k + 1 :, k + 1 :] -= np.outer(LU[k + 1 :, k], LU[k, k + 1 :])
-    return LU, piv
-
-
-def _lu_solve(LU: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = b[piv].astype(float)
-    n = len(x)
-    for k in range(1, n):
-        x[k] -= LU[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - LU[k, k + 1 :] @ x[k + 1 :]) / LU[k, k]
-    return x
+    info = solve_pencil(p, tol)
+    return info.values, _twisted_vectors(p, info.values), info
 
 
 def inverse_iteration(matrix, lam: float, tol: float = 1e-10) -> np.ndarray:
@@ -403,20 +403,15 @@ def inverse_iteration(matrix, lam: float, tol: float = 1e-10) -> np.ndarray:
     norm = float(np.max(np.sum(np.abs(A), axis=1)))
     shift = float(lam)
     v = np.full(n, 1.0 / math.sqrt(n))
-    factored = None
     for _ in range(_INVIT_CAP):
-        if factored is None:
-            try:
-                factored = _lu_factor(A - shift * np.eye(n))
-            except ZeroDivisionError:
-                # exact singularity: nudge the shift off the eigenvalue
-                shift += 10.0 * _EPS * max(abs(shift), norm, 1.0)
-                continue
-        w = _lu_solve(*factored, v)
-        wn = float(np.linalg.norm(w))
+        try:
+            w = np.linalg.solve(A - shift * np.eye(n), v)
+            wn = float(np.linalg.norm(w))
+        except np.linalg.LinAlgError:
+            wn = 0.0
         if wn == 0.0 or not math.isfinite(wn):
+            # (near-)exact singularity: nudge the shift off the eigenvalue
             shift += 10.0 * _EPS * max(abs(shift), norm, 1.0)
-            factored = None
             continue
         v = w / wn
         if v[int(np.argmax(np.abs(v)))] < 0.0:

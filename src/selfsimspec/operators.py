@@ -11,8 +11,8 @@ renderings, all built here:
   geometric grid, exact for the truncated weight because those
   eigenfunctions are themselves piecewise linear;
 * the Green kernel matrix C[i,j] = min(x_i,x_j)(1-max(x_i,x_j))*m_j, the
-  inverse rendering of the same pencil, with bounded entries (preferred for
-  large N).
+  inverse rendering of the same pencil, with bounded entries; dense, so
+  it serves as the independent check of the tridiagonal routes.
 
 All geometry uses the gaps a^k (see DiscreteWeight); entries grow like q^N
 and builders raise RangeOverflow past the params range guard.
@@ -26,9 +26,6 @@ import numpy as np
 
 from .errors import IndefiniteCase, OutOfRange, RangeOverflow
 from .selfsim import DiscreteWeight, SelfSimilarParams, _freeze
-
-SECTION_KINDS = ("A", "B", "Binv", "ABinv", "Green", "Stiffness", "Mass")
-
 
 @dataclass(frozen=True)
 class TridiagonalSymmetric:
@@ -143,9 +140,6 @@ def symmetrized_section(params: SelfSimilarParams, N: int) -> TridiagonalSymmetr
     k = np.arange(N, dtype=float)
     diag = (1.0 + d * q) * q ** k
     off = np.sqrt(d) * q ** (k[:-1] + 1.0)
-    # Sturm counts square the off-diagonal, so guard the square too
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off * off))):
-        raise RangeOverflow(f"symmetrized section overflows at N = {N}")
     return TridiagonalSymmetric(_freeze(diag), _freeze(off), N)
 
 
@@ -189,8 +183,7 @@ def green_kernel_matrix(weight: DiscreteWeight) -> np.ndarray:
 
     G is the Dirichlet Green function of -y'' on [0,1], so C is the exact
     inverse rendering of the stiffness/mass pencil: eigenvalues of C are
-    the reciprocals 1/lambda. Entries are bounded by 1, which is what makes
-    this the preferred formulation for large N; they are formed as
+    the reciprocals 1/lambda. Entries are bounded by 1; they are formed as
     (1 - a^lo) * a^hi from the gaps, never from positions.
     """
     return _green_unweighted(weight) * weight.masses[None, :]

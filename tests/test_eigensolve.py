@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfsimspec as ss
-from selfsimspec.eigensolve import _jacobi, _reverse_cholesky, _upper_bidiag_inverse
+from selfsimspec.eigensolve import _jacobi
 
 from conftest import canonical
 
@@ -113,15 +113,6 @@ class TestCholesky:
         with pytest.raises(ss.NotPositiveDefinite):
             ss.tridiag_cholesky(_tridiag([-1.0, 1.0], [0.0]))
 
-    def test_reverse_factor_reproduces_matrix(self):
-        K = ss.stiffness_matrix(ss.weight_truncation(P, 8))
-        ud, us = _reverse_cholesky(K)
-        U = np.diag(ud)
-        U[np.arange(7), np.arange(1, 8)] = us
-        np.testing.assert_allclose(U @ U.T, K.dense(), rtol=1e-14)
-        Uinv = _upper_bidiag_inverse(ud, us)
-        np.testing.assert_allclose(Uinv @ U, np.eye(8), atol=1e-13)
-
 
 class TestSolvePencil:
     def test_closed_form_definite(self):
@@ -152,6 +143,27 @@ class TestSolvePencil:
             r = Kd @ Y[:, k] - lam[k] * pencil.M * Y[:, k]
             assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(Kd @ Y[:, k])
 
+    def test_indefinite_stiffness_rejected(self):
+        K = _tridiag([1.0, 1.0], [2.0])
+        with pytest.raises(ss.NotPositiveDefinite):
+            ss.solve_pencil(ss.PencilProblem(K, [1.0, -1.0], 2))
+
+    def test_twisted_vectors_keep_the_identities_at_large_order(self):
+        """Eigenvectors over 90 decades of eigenvalues still satisfy the
+        quadratic-form identity and y(1) = 0 to near machine precision."""
+        for sign in (1.0, -1.0):
+            p = canonical(sign)
+            w = ss.weight_truncation(p, 150)
+            pencil = ss.PencilProblem(ss.stiffness_matrix(w), ss.mass_matrix(w), 150)
+            lam, Y, info = ss.pencil_eigenpairs(pencil)
+            assert info.residual_bound <= np.finfo(float).eps
+            for k in range(len(lam)):
+                s = ss.eigenfunction_slopes(w, Y[:, k])
+                lhs, rhs = ss.quadratic_form_sides(p, s, lam[k])
+                assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
+                bscale = float(np.sum(p.a ** np.arange(len(s.values)) * np.abs(s.values)))
+                assert abs(ss.boundary_functional(p, s)) <= 1e-13 * bscale
+
     def test_underflowing_masses_are_dropped(self):
         K = _tridiag([1.0, 1.0], [0.0])
         out = ss.solve_pencil(ss.PencilProblem(K, [1.0, 1e-295], 2))
@@ -159,6 +171,10 @@ class TestSolvePencil:
         assert len(out.values) == 1
         with pytest.raises(ss.ZeroEigenvalue):
             ss.solve_pencil(ss.PencilProblem(K, [1e-295, 1e-295], 2))
+        # scaled entries ~1e318 overflow the bracket bounds themselves
+        coupled = _tridiag([1e10, 1e10], [1e9])
+        with pytest.raises(ss.ZeroEigenvalue):
+            ss.solve_pencil(ss.PencilProblem(coupled, [1e-309, 1e-309], 2))
 
 
 class TestDenseJacobi:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selfsimspec as ss
-from conftest import canonical
+from conftest import canonical, contraction_params, run_cli
 
 P = canonical()
 PN = canonical(-1.0)
@@ -62,6 +64,30 @@ class TestComputeSpectrum:
         for p in (P, PN):
             vals = ss.compute_spectrum(p, 12, "green-kernel").values
             assert np.all(np.diff(vals) > 0)
+
+
+class TestInertiaCore:
+    @given(contraction_params(), st.integers(2, 80))
+    @settings(deadline=None, max_examples=30)
+    def test_pencil_matches_green_and_inertia(self, p, N):
+        """pytest turns RuntimeWarning into an error, so this also checks
+        that no numpy warning leaks anywhere in the domain."""
+        N = min(N, p.max_order)
+        fem = ss.compute_spectrum(p, N, "fem-pencil")
+        green = ss.compute_spectrum(p, N, "green-kernel").values
+        assert fem.dropped == 0 and len(fem.values) == N
+        np.testing.assert_allclose(fem.values, green, rtol=1e-10)
+        masses = ss.weight_truncation(p, N).masses
+        assert int(np.sum(fem.values < 0.0)) == int(np.sum(masses < 0.0))
+
+    def test_section_reaches_max_order(self):
+        """Sturm counts no longer square the off-diagonal, so the section
+        runs at every order the range guard admits."""
+        N = P.max_order
+        sec = ss.compute_spectrum(P, N, "jacobi-section").values
+        fem = ss.compute_spectrum(P, N, "fem-pencil").values
+        k = N // 2
+        np.testing.assert_allclose(sec[:k], fem[:k], rtol=1e-12)
 
 
 class TestCrossValidate:
@@ -172,6 +198,16 @@ class TestVerifySuite:
             results = ss.verify_suite(p, N=20)
             assert len(results) == 6
             assert all(ok for _, ok, _ in results), results
+
+    def test_symmetry_defect_scaled_by_edge_terms(self):
+        """A generic point whose defect is all roundoff in terms of size
+        (q/d)^k; it measured 7e5 of ||u||*||v|| under the old scale."""
+        code, out, _ = run_cli(
+            "verify", "--a", "0.122", "--d", "1.819", "--beta1", "-0.243",
+            "--beta2", "-0.052", "--n", "60",
+        )
+        assert code == 0, out
+        assert "FAIL" not in out
 
     def test_deterministic(self):
         a = ss.verify_suite(P, N=10, seed=99)
