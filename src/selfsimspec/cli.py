@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import IndefiniteCase, NumericalError, OutOfRange, ValidationError
+from .errors import NumericalError, OutOfRange, ValidationError
 from .operators import section, symmetrized_section
 from .selfsim import make_params, step_function, weight_truncation
 from .spectral import compute_spectrum, estimate_c, indefinite_report, verify_suite
@@ -30,10 +30,6 @@ def _json_text(payload) -> str:
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     lines = [",".join(header)] + [",".join(r) for r in rows]
     return "\n".join(lines) + "\n"
-
-
-def _num(x) -> float:
-    return float(x)
 
 
 def _cell(x) -> str:
@@ -75,9 +71,9 @@ def _cmd_weight(args, params) -> str:
         {
             "params": _params_payload(params),
             "N": args.n,
-            "positions": [_num(x) for x in w.positions],
-            "masses": [_num(x) for x in w.masses],
-            "step_values": [_num(x) for x in f.values],
+            "positions": [float(x) for x in w.positions],
+            "masses": [float(x) for x in w.masses],
+            "step_values": [float(x) for x in f.values],
         }
     )
 
@@ -96,7 +92,7 @@ def _cmd_matrix(args, params) -> str:
             "params": _params_payload(params),
             "kind": args.kind,
             "N": args.n,
-            "rows": [[_num(x) for x in row] for row in data],
+            "rows": [[float(x) for x in row] for row in data],
         }
     )
 
@@ -111,7 +107,7 @@ def _cmd_spectrum(args, params) -> str:
             "params": _params_payload(params),
             "N": spec.order,
             "formulation": spec.formulation,
-            "eigenvalues": [_num(v) for v in spec.values],
+            "eigenvalues": [float(v) for v in spec.values],
         }
     )
 
@@ -134,11 +130,11 @@ def _cmd_asymptotics(args, params) -> str:
                 "N": spec.order,
                 "formulation": spec.formulation,
                 "window": list(rep.window),
-                "q": _num(rep.q_used),
-                "c_estimate": _num(rep.c_estimate),
-                "per_k_c": [_num(x) for x in rep.per_k_c],
-                "ratios": [_num(x) for x in rep.ratios],
-                "max_rel_dispersion": _num(rep.max_rel_dispersion),
+                "q": float(rep.q_used),
+                "c_estimate": float(rep.c_estimate),
+                "per_k_c": [float(x) for x in rep.per_k_c],
+                "ratios": [float(x) for x in rep.ratios],
+                "max_rel_dispersion": float(rep.max_rel_dispersion),
             }
         )
     rep = indefinite_report(spec, window)
@@ -163,21 +159,19 @@ def _cmd_asymptotics(args, params) -> str:
             "N": spec.order,
             "formulation": spec.formulation,
             "window": list(rep.window),
-            "q": _num(rep.q_used),
-            "positive": [_num(x) for x in rep.positive],
-            "negative": [_num(x) for x in rep.negative],
-            "c_plus": [_num(x) for x in rep.c_plus],
-            "c_minus": [_num(x) for x in rep.c_minus],
-            "cross_ratios": [_num(x) for x in rep.cross_ratios],
-            "ratios_positive": [_num(x) for x in rep.ratios_positive],
-            "ratios_negative": [_num(x) for x in rep.ratios_negative],
+            "q": float(rep.q_used),
+            "positive": [float(x) for x in rep.positive],
+            "negative": [float(x) for x in rep.negative],
+            "c_plus": [float(x) for x in rep.c_plus],
+            "c_minus": [float(x) for x in rep.c_minus],
+            "cross_ratios": [float(x) for x in rep.cross_ratios],
+            "ratios_positive": [float(x) for x in rep.ratios_positive],
+            "ratios_negative": [float(x) for x in rep.ratios_negative],
         }
     )
 
 
 def _cmd_verify(args, params) -> tuple[str, int]:
-    if args.formulation == "jacobi" and params.d < 0:
-        raise IndefiniteCase("jacobi formulation needs d > 0; use fem or green")
     results = verify_suite(params, N=args.n, seed=_VERIFY_SEED)
     lines = [
         f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results
@@ -210,8 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asym = sub.add_parser("asymptotics", parents=[common], help="geometric-law fit")
     p_asym.add_argument("--formulation", choices=tuple(_FORMULATION), default="green")
     p_asym.add_argument("--window", default=None, help="index window k1:k2 (1-based)")
-    p_verify = sub.add_parser("verify", parents=[common], help="run the invariant suite")
-    p_verify.add_argument("--formulation", choices=tuple(_FORMULATION), default="fem")
+    sub.add_parser("verify", parents=[common], help="run the invariant suite")
     return parser
 
 

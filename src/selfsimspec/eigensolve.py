@@ -13,10 +13,10 @@ here therefore works with relative thresholds:
   most a factor of 2 and the iteration cap holds across the full dynamic
   range, then cut by multisection, many probes per vectorised count;
 * twisted LDL^T factorizations for pencil eigenvectors, O(N) each;
-* cyclic Jacobi rotations with the relative threshold
-  |a_pq| <= tol*sqrt(|a_pp*a_qq|) and Rutishauser diagonal updates for
-  dense symmetric matrices (the Green-kernel route), which attain high
-  relative accuracy on graded positive definite inputs.
+* Jacobi for dense symmetric matrices (the Green-kernel route): each step
+  rotates a round of disjoint pairs with |a_pq| > tol*sqrt|a_pp|*sqrt|a_qq|
+  until no entry of the matrix exceeds that; no product of two entries is
+  formed, and graded positive definite inputs keep high relative accuracy.
 
 Iteration caps (120 bisection steps, 30 Jacobi sweeps, 50 inverse
 iteration steps) are diagnostics, not tunables.
@@ -40,6 +40,7 @@ from .operators import TridiagonalSymmetric
 
 _PIVMIN = 1e-300
 _MU_GUARD = 1e-290
+_LIFT = 512  # a spectrum below 1 lands in (1e-155, 2^512): clear of _PIVMIN and 1/_MU_GUARD
 _BISECT_CAP = 120
 _SWEEP_CAP = 30
 _INVIT_CAP = 50
@@ -69,9 +70,9 @@ class EigenvalueList:
 
     residual_bound is relative: for bisection (sections and pencils) the
     widest final bracket over max(|lo|, |hi|), at most eps for pencils,
-    whose brackets close to adjacent doubles; for Jacobi the off-diagonal
-    Frobenius fraction. dropped counts pencil eigenvalues of magnitude
-    beyond 1/_MU_GUARD, which are excluded rather than computed.
+    whose brackets close to adjacent doubles; for Jacobi the largest
+    |a_ij| / (sqrt|a_ii| * sqrt|a_jj|) left. dropped counts pencil
+    eigenvalues beyond 1/_MU_GUARD, which are excluded rather than computed.
     """
 
     values: np.ndarray
@@ -240,84 +241,92 @@ def tridiag_eigs(
     return EigenvalueList(vals, residual_bound=width, method="bisect")
 
 
-def tridiag_cholesky(K: TridiagonalSymmetric) -> tuple[np.ndarray, np.ndarray]:
-    """Lower bidiagonal L with L L^T = K: returns (diagonal, subdiagonal)."""
-    d, e, n = K.diag, K.offdiag, K.order
-    ld = np.empty(n)
-    ls = np.empty(max(n - 1, 0))
-    piv = float(d[0])
-    if not piv > 0.0:
-        raise NotPositiveDefinite(f"pivot {piv!r} at row 1")
-    ld[0] = math.sqrt(piv)
-    for i in range(1, n):
-        ls[i - 1] = e[i - 1] / ld[i - 1]
-        piv = float(d[i]) - ls[i - 1] * ls[i - 1]
-        if not piv > 0.0:
-            raise NotPositiveDefinite(f"pivot {piv!r} at row {i + 1}")
-        ld[i] = math.sqrt(piv)
-    return ld, ls
+def _round_robin(n: int) -> np.ndarray:
+    """Pairs p < q of a round-robin tournament, shape (rounds, n // 2, 2).
+
+    Circle method, labelled so the first round pairs neighbours (0, 1), (2, 3), ...,
+    where a graded matrix has its largest relative off-diagonals. The rounds hold
+    disjoint pairs and meet every pair once; for odd n each leaves one index out.
+    """
+    m = n + n % 2
+    seat = np.arange(m // 2, dtype=np.int32)
+    label = np.empty(m, dtype=np.int32)
+    label[seat], label[m - 1 - seat] = m - 2 - 2 * seat, m - 1 - 2 * seat
+    r = np.arange(m - 1, dtype=np.int32)[:, None]
+    ring = label[np.hstack((np.zeros_like(r), 1 + (r.T + r) % (m - 1)))]
+    pairs = np.sort(np.stack((ring[:, seat], ring[:, m - 1 - seat]), axis=2), axis=2)
+    return pairs[pairs[:, :, 1] < n].reshape(max(m - 1, 0), n // 2, 2)
 
 
-def _jacobi(S: np.ndarray, tol: float, want_vectors: bool):
-    """Cyclic Jacobi with relative rotation threshold; returns (vals, vecs, off)."""
-    A = np.array(S, dtype=float)
+def _off_ratio(A: np.ndarray) -> float:
+    """max over i != j of |a_ij| / max(sqrt|a_ii| * sqrt|a_jj|, tiny), in one buffer; NaN if any."""
+    root = np.sqrt(np.abs(np.diagonal(A)))
+    buf = np.multiply.outer(root, root)
+    np.maximum(buf, np.finfo(float).tiny, out=buf)  # 0/0 reads 0, never NaN
+    np.abs(np.divide(A, buf, out=buf), out=buf)
+    np.fill_diagonal(buf, 0.0)
+    return float(buf.max(initial=0.0))
+
+
+def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """Eigenvalues (ascending) of the exactly symmetric A, which is overwritten, and _off_ratio.
+
+    Sweeps of the _round_robin rounds run until _off_ratio <= rot_tol, checked after each sweep.
+    """
     n = A.shape[0]
-    V = np.eye(n) if want_vectors else None
     rot_tol = max(1e-15, 4 * n * _EPS)
-    fro = float(np.sqrt(np.sum(A * A)))
-    for _ in range(_SWEEP_CAP):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                if abs(apq) <= rot_tol * math.sqrt(abs(A[p, p] * A[q, q])):
-                    continue
-                rotated = True
-                app, aqq = A[p, p], A[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                # Rutishauser updates: exact rotation invariants on the 2x2 block
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = A[q, p] = 0.0
-                if want_vectors:
-                    vp = V[:, p].copy()
-                    vq = V[:, q].copy()
-                    V[:, p] = c * vp - s * vq
-                    V[:, q] = s * vp + c * vq
-        off = A.copy()
-        np.fill_diagonal(off, 0.0)
-        off_fro = float(np.sqrt(np.sum(off * off)))
-        if not rotated or off_fro <= tol * fro:
-            break
-    else:
+    rounds = _round_robin(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = _off_ratio(A)
+        for _ in range(_SWEEP_CAP):
+            if rel <= rot_tol:
+                break
+            for pq in rounds:
+                _rotate_round(A, pq, rot_tol)
+            rel = _off_ratio(A)
+    if not rel <= rot_tol:  # NaN included
         raise NonConvergence(f"Jacobi sweep cap {_SWEEP_CAP} reached")
-    if off_fro > tol * fro and fro > 0.0:
-        raise NonConvergence(f"off-diagonal norm {off_fro!r} above tol*|S| after convergence")
-    vals = np.diag(A).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], (V[:, order] if want_vectors else None), off_fro
+    return np.sort(np.diagonal(A)), rel
+
+
+def _rotate_round(A: np.ndarray, pq: np.ndarray, rot_tol: float) -> None:
+    """Rotate the pairs pq of a round whose ratio exceeds rot_tol; Rutishauser diagonal updates.
+
+    The ratio is computed as in _off_ratio, and A stays exactly symmetric (rows and columns
+    come from the same rotated rows, their crossing block symmetrized), so the stop test
+    agrees with the rotation test entry for entry.
+    """
+    n, (p, q) = A.shape[0], pq.T
+    ix = np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))  # a_pp, a_qq, a_pq, a_qp
+    flat = A.reshape(-1)
+    app, aqq, apq = x = flat[ix[:3]]
+    big = np.abs(apq) / (np.sqrt(np.abs(app)) * np.sqrt(np.abs(aqq))) > rot_tol
+    if not big.any():
+        return
+    pq, ix, (app, aqq, apq) = pq[big], ix[:, big], x[:, big]
+    # t = tan of the angle that zeroes a_pq, the root of magnitude <= 1
+    diff, twice = aqq - app, 2.0 * apq
+    t = twice / (diff + np.copysign(np.hypot(diff, twice), diff))
+    c = 1.0 / np.hypot(1.0, t)
+    rot = np.stack((c, -t * c, t * c, c), axis=1).reshape(-1, 2, 2)
+    pairs = pq.ravel()  # p0, q0, p1, q1, ...
+    rows = (rot @ A[pq]).reshape(len(pairs), -1)
+    block = (rot @ rows[:, pq].transpose(1, 2, 0)).reshape(len(pairs), -1)
+    rows[:, pairs] = 0.5 * (block + block.T)
+    A[pairs] = rows
+    A[:, pairs] = rows.T
+    flat[ix[0]] = app - t * apq
+    flat[ix[1]] = aqq + t * apq
+    flat[ix[2:]] = 0.0
 
 
 def dense_symmetric_eigs(S: np.ndarray, tol: float = 1e-13) -> EigenvalueList:
-    """All eigenvalues of a dense symmetric matrix by cyclic Jacobi.
+    """All eigenvalues of a dense symmetric matrix by round-robin Jacobi.
 
-    Stops when the off-diagonal Frobenius norm falls below tol times the
-    Frobenius norm of S (or when the relative rotation threshold leaves
-    nothing to rotate, whichever is earlier). High relative accuracy on
-    graded positive definite matrices is the point of this solver.
+    Rotations run until no |a_ij| exceeds max(1e-15, 4*n*eps) *
+    sqrt|a_ii| * sqrt|a_jj|; residual_bound is the largest such ratio left.
+    High relative accuracy on graded positive definite matrices is the
+    point of this solver; tol is accepted for the common solver signature.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -325,9 +334,7 @@ def dense_symmetric_eigs(S: np.ndarray, tol: float = 1e-13) -> EigenvalueList:
     scale = float(np.max(np.abs(S))) if S.size else 0.0
     if scale > 0.0 and float(np.max(np.abs(S - S.T))) > 1e-12 * scale:
         raise OutOfRange("S is not symmetric to 1e-12 relative")
-    vals, _, off = _jacobi(0.5 * (S + S.T), tol, want_vectors=False)
-    fro = float(np.sqrt(np.sum(S * S)))
-    rel = off / fro if fro > 0.0 else 0.0
+    vals, rel = _jacobi(0.5 * (S + S.T))
     return EigenvalueList(vals, residual_bound=rel, method="jacobi")
 
 
@@ -338,17 +345,22 @@ def solve_pencil(p: PencilProblem, tol: float = 1e-13) -> EigenvalueList:
     cut to |lambda| <= 1/_MU_GUARD; eigenvalues beyond that are counted in
     dropped. Every bracket closes to adjacent doubles, so the result meets
     any tol >= eps; tol is accepted for the common solver signature.
+
+    A spectrum inside (-1, 1) may reach down to _PIVMIN, where brackets
+    stop closing relatively: it is solved with the masses times 2^-_LIFT
+    (exact) and its eigenvalues scaled back.
     """
-    K, m, n = p.K, p.M, p.order
+    K, n = p.K, p.order
     if _counts_below(K.diag, K.offdiag, np.ones(n), [0.0])[0]:
         raise NotPositiveDefinite("stiffness matrix has a negative eigenvalue")
-    ceil = 1.0 / _MU_GUARD
-    glo, ghi = _gershgorin(K.diag, K.offdiag, m)
-    glo, ghi = np.clip((glo, ghi), -ceil, ceil)
+    lift = _LIFT if max(np.abs(_gershgorin(K.diag, K.offdiag, p.M))) < 1.0 else 0
+    m = np.ldexp(p.M, -lift)
+    glo, ghi = np.clip(_gershgorin(K.diag, K.offdiag, m), -1.0 / _MU_GUARD, 1.0 / _MU_GUARD)
     k1, k2 = _counts_below(K.diag, K.offdiag, m, [glo, ghi])
     if k2 <= k1:
         raise ZeroEigenvalue("every eigenvalue lies beyond the range guard")
     vals, width = _bisect(K.diag, K.offdiag, m, glo, ghi, np.arange(k1 + 1, k2 + 1), 0.0)
+    vals = np.ldexp(vals, -lift)
     return EigenvalueList(vals, residual_bound=width, method="bisect", dropped=int(n - (k2 - k1)))
 
 

@@ -241,7 +241,8 @@ def quadratic_form_sides(
     if s.tail == "constant" and len(v):
         # the last slope continues: its energy is an exact geometric series
         lhs = float(np.sum(wv[:-1] * v[:-1] * v[:-1]))
-        lhs += float(v[-1]) ** 2 * a ** (len(v) - 1) / (1.0 - a)
+        # v[-1] ~ a^-N: weight one factor first so the square stays in range
+        lhs += float(v[-1]) * a ** (len(v) - 1) * float(v[-1]) / (1.0 - a)
     else:
         lhs = float(np.sum(wv * v * v))
     sl = _materialized(params, s, depth)
@@ -309,7 +310,10 @@ def symmetry_defect(params: SelfSimilarParams, u, v, N: int) -> float:
     k = np.arange(1, N, dtype=float)  # edge between rows k and k+1, 1-based
     wk1 = (1.0 / d) ** k  # weight at row k+1
     wk0 = (1.0 / d) ** (k - 1.0)  # weight at row k
-    coeff = wk1 * (-d * q ** k) - wk0 * (-(q ** k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = wk1 * (-d * q ** k) - wk0 * (-(q ** k))
+    if not np.all(np.isfinite(coeff)):
+        raise RangeOverflow(f"weighted edge terms (q/d)^k overflow below order {N}")
     cross = uu[:-1] * vv[1:] - uu[1:] * vv[:-1]
     return float(np.sum(coeff * cross))
 

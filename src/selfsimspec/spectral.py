@@ -7,9 +7,9 @@ Three formulations of the same eigenvalue problem:
 * "fem-pencil": inertia-count bisection on the tridiagonal stiffness
   matrix against the diagonal mass matrix, O(N) per probe, for either
   sign of d;
-* "green-kernel": the Green kernel matrix diagonalized by Jacobi
-  rotations, O(N^3); its eigenvalues are the reciprocals. It shares no
-  solver code with the other two and serves as their independent check.
+* "green-kernel": the Green kernel matrix, factored as L L^T, with
+  L^T sign(M) L diagonalized by round-robin Jacobi, O(N^3); its eigenvalues
+  are the reciprocals. It shares no solver code with the other two.
 
 compute_spectrum produces them, cross_validate compares them pairwise,
 estimate_c and indefinite_report check the geometric laws lambda_k ~ c*q^k
@@ -47,12 +47,11 @@ from .operators import (
     eigenfunction_slopes,
     mass_matrix,
     quadratic_form_sides,
-    section,
     stiffness_matrix,
     symmetrized_section,
     symmetry_defect,
 )
-from .selfsim import SelfSimilarParams, fixed_point_residual, weight_truncation
+from .selfsim import _ENTRY_CEIL, SelfSimilarParams, fixed_point_residual, weight_truncation
 
 FORMULATIONS = ("jacobi-section", "fem-pencil", "green-kernel")
 
@@ -130,37 +129,30 @@ def _dense_cholesky(H: np.ndarray) -> np.ndarray:
     return L
 
 
-def _drop_tiny(mu: np.ndarray) -> tuple[np.ndarray, int]:
-    keep = np.abs(mu) >= _MU_GUARD
-    if not keep.any():
-        raise ZeroEigenvalue("all reciprocal eigenvalues below the underflow guard")
-    return mu[keep], int(np.sum(~keep))
-
-
-def _green_values(params: SelfSimilarParams, N: int, tol: float) -> tuple[np.ndarray, int]:
+def _green_values(params: SelfSimilarParams, N: int) -> tuple[np.ndarray, int]:
     """Eigenvalues via the Green kernel: reciprocals of a bounded matrix.
 
     With W = sqrt(|m|) and S = sign(m), the similarity transform of
-    G*diag(m) is H*S with H = W G W symmetric positive definite. For a
-    positive weight H itself is diagonalized; otherwise H = L L^T turns
-    H S z = mu z into the symmetric problem (L^T S L) w = mu w.
+    G*diag(m) is H*S with H = W G W symmetric positive definite; H = L L^T
+    turns H S z = mu z into the symmetric problem (L^T S L) w = mu w for
+    either sign of d. G is totally nonnegative, so L >= 0 and L^T L forms
+    without cancellation; Jacobi needs fewer rotations on it than on H.
     """
     w = weight_truncation(params, N)
-    G = _green_unweighted(w)
-    m = w.masses
-    W = np.sqrt(np.abs(m))
-    H = W[:, None] * G * W[None, :]
-    H = 0.5 * (H + H.T)
-    if np.all(m > 0.0):
-        mu, _, _ = _jacobi(H, tol, want_vectors=False)
-    else:
-        L = _dense_cholesky(H)
-        sig = np.sign(m)
-        T = L.T @ (sig[:, None] * L)
-        T = 0.5 * (T + T.T)
-        mu, _, _ = _jacobi(T, tol, want_vectors=False)
-    mu, dropped = _drop_tiny(mu)
-    return np.sort(1.0 / mu), dropped
+    W = np.sqrt(np.abs(w.masses))
+    H = _green_unweighted(w)  # H, then S L, then L^T S L share one buffer
+    H *= W[:, None]
+    H *= W
+    L = _dense_cholesky(H)  # reads the lower triangle only
+    T = L.T @ np.multiply(np.sign(w.masses)[:, None], L, out=H)
+    np.add(T, T.T, out=H)
+    H *= 0.5
+    del L, T
+    mu, _ = _jacobi(H)
+    keep = np.abs(mu) >= _MU_GUARD
+    if not keep.any():
+        raise ZeroEigenvalue("all reciprocal eigenvalues below the underflow guard")
+    return np.sort(1.0 / mu[keep]), int(np.sum(~keep))
 
 
 def _fem_pencil(params: SelfSimilarParams, N: int) -> PencilProblem:
@@ -206,7 +198,7 @@ def compute_spectrum(
         ev = solve_pencil(_fem_pencil(params, N), tol)
         values, dropped = ev.values, ev.dropped
     else:
-        values, dropped = _green_values(params, N, tol)
+        values, dropped = _green_values(params, N)
     return SpectrumResult(params, N, formulation, _select(values, count), dropped)
 
 
@@ -369,18 +361,19 @@ def verify_suite(
     out.append(("fixed-point residual", res <= 1e-12, f"{res:.3e} at depth {depth}"))
 
     M = min(N, params.max_order)
-    # symmetry_defect sums paired edge terms w_(k+1)*d*q^k and w_k*q^k, each
-    # of which keeps a few ulps of its own size: scale by those sizes
-    k = np.arange(1, M, dtype=float)
+    # symmetry_defect sums paired edge terms w_(k+1)*d*q^k and w_k*q^k, each keeping a few
+    # ulps of its own size: scale by those sizes, up to the order where (q/d)^k fits
+    Ms = min(M, 1 + int(math.log(_ENTRY_CEIL) / math.log(abs(params.q / params.d))))
+    k = np.arange(1, Ms, dtype=float)
     edge = 2.0 * np.abs(1.0 / params.d) ** (k - 1.0) * np.abs(params.q) ** k
     worst = 0.0
     for _ in range(20):
-        u = rng.standard_normal(M)
-        v = rng.standard_normal(M)
-        defect = abs(symmetry_defect(params, u, v, M))
+        u = rng.standard_normal(Ms)
+        v = rng.standard_normal(Ms)
+        defect = abs(symmetry_defect(params, u, v, Ms))
         scale = float(np.sum(edge * np.abs(u[:-1] * v[1:] - u[1:] * v[:-1])))
         worst = max(worst, defect / scale if scale > 0.0 else defect)
-    out.append(("symmetry defect", worst <= 1e-12, f"max {worst:.3e} over 20 pairs"))
+    out.append(("symmetry defect", worst <= 1e-12, f"max {worst:.3e} over 20 pairs at order {Ms}"))
 
     lam, Y, _ = pencil_eigenpairs(_fem_pencil(params, M))
     w = weight_truncation(params, M)

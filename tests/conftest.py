@@ -27,10 +27,10 @@ def valid_params(draw):
 
 
 @st.composite
-def contraction_params(draw):
-    """The whole contraction domain: a in (0.05, 0.95), a*d^2 < 0.95, either sign of d."""
-    a = draw(st.floats(0.05, 0.95, exclude_min=True, exclude_max=True))
-    s = draw(st.floats(0.02, 0.95, exclude_max=True))
+def contraction_params(draw, edge=0.95):
+    """The contraction domain: a in (0.05, edge), a*d^2 < edge, either sign of d."""
+    a = draw(st.floats(0.05, edge, exclude_min=True, exclude_max=True))
+    s = draw(st.floats(0.02, edge, exclude_max=True))
     d = draw(st.sampled_from((-1.0, 1.0))) * math.sqrt(s / a)
     beta1 = draw(st.floats(-1.0, 1.0))
     beta2 = draw(st.floats(-1.0, 2.0))

@@ -69,7 +69,11 @@ class TestExitCodes:
             (("asymptotics", "--n", "10", "--window", "50:60"), "empty window"),
             (("asymptotics", "--n", "10", "--window", "5"), "window"),
             (("spectrum", "--n", "2", "--count", "5"), "count"),
-            (("verify", "--d", "-0.5", "--formulation", "jacobi"), "jacobi"),
+            # verify runs one fixed suite and has no --formulation flag
+            (
+                ("verify", "--d", "-0.5", "--formulation", "jacobi"),
+                "unrecognized arguments: --formulation jacobi",
+            ),
         ],
     )
     def test_validation_failures_are_two(self, argv, needle):
@@ -148,6 +152,31 @@ class TestOutputContracts:
         b = run_cli("verify", "--n", "10")
         assert a == b
         assert a[0] == 0
+
+    @pytest.mark.parametrize("beta2,n", [("1e195", "20"), ("1e-200", "40")])
+    def test_green_matches_fem_at_extreme_mass_scales(self, beta2, n):
+        """Entries near 1e195 overflow when squared and near 1e-200 underflow;
+        Jacobi forms no such product, so green matches fem, and a
+        RuntimeWarning would fail the test (pytest makes it an error)."""
+        spectra = []
+        for formulation in ("green", "fem"):
+            code, out, _ = run_cli(
+                "spectrum", "--beta2", beta2, "--n", n, "--formulation", formulation
+            )
+            assert code == 0
+            spectra.append(json.loads(out)["eigenvalues"])
+        for g, f in zip(*spectra):
+            assert abs(g - f) <= 1e-12 * abs(f)
+
+    def test_verify_with_edge_terms_beyond_range(self):
+        """(q/d)^N passes 1e308 at this point: the symmetry check runs at the
+        order where its edge terms fit and every check still reports."""
+        code, out, err = run_cli("verify", "--a", "0.05", "--d", "0.2", "--n", "140")
+        lines = out.strip().split("\n")
+        assert code == 0, out + err
+        assert len(lines) == 6
+        assert all(line.startswith("PASS") for line in lines)
+        assert "PASS symmetry defect" in out and "at order 108" in out
 
     def test_verify_indefinite_passes(self):
         code, out, _ = run_cli("verify", "--d", "-0.5", "--n", "12")

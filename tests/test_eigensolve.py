@@ -98,22 +98,6 @@ class TestTridiagEigs:
         np.testing.assert_allclose(got, want, atol=1e-10 * scale)
 
 
-class TestCholesky:
-    def test_lower_factor_example(self):
-        K = _tridiag([6.0, 8.0], [-4.0])
-        ld, ls = ss.tridiag_cholesky(K)
-        np.testing.assert_allclose(ld, [2.449489742783178, 2.3094010767585034], rtol=1e-12)
-        np.testing.assert_allclose(ls, [-1.6329931618554518], rtol=1e-12)
-        L = np.array([[ld[0], 0.0], [ls[0], ld[1]]])
-        np.testing.assert_allclose(L @ L.T, K.dense(), rtol=1e-15)
-
-    def test_not_positive_definite(self):
-        with pytest.raises(ss.NotPositiveDefinite):
-            ss.tridiag_cholesky(_tridiag([1.0, 1.0], [2.0]))
-        with pytest.raises(ss.NotPositiveDefinite):
-            ss.tridiag_cholesky(_tridiag([-1.0, 1.0], [0.0]))
-
-
 class TestSolvePencil:
     def test_closed_form_definite(self):
         K = _tridiag([6.0, 8.0], [-4.0])
@@ -211,20 +195,16 @@ class TestDenseJacobi:
         want = np.linalg.eigvalsh(S)
         np.testing.assert_allclose(got, want, atol=1e-12 * np.abs(want).max())
 
+    def test_nan_entry_never_converges(self):
+        with pytest.raises(ss.NonConvergence):
+            ss.dense_symmetric_eigs(np.array([[1.0, np.nan], [np.nan, 2.0]]))
+
     def test_trace_preserved(self):
         rng = np.random.default_rng(17)
         A = rng.standard_normal((8, 8))
         S = A + A.T
-        vals, _, _ = _jacobi(S, 1e-13, want_vectors=False)
+        vals, _ = _jacobi(S.copy())
         assert float(np.sum(vals)) == pytest.approx(float(np.trace(S)), rel=1e-13)
-
-    def test_vectors_diagonalize(self):
-        rng = np.random.default_rng(23)
-        A = rng.standard_normal((6, 6))
-        S = A + A.T
-        vals, V, _ = _jacobi(S, 1e-13, want_vectors=True)
-        np.testing.assert_allclose(V.T @ S @ V, np.diag(vals), atol=1e-12)
-        np.testing.assert_allclose(V.T @ V, np.eye(6), atol=1e-13)
 
 
 class TestInverseIteration:
