@@ -13,13 +13,16 @@ here therefore works with relative thresholds:
   most a factor of 2 and the iteration cap holds across the full dynamic
   range, then cut by multisection, many probes per vectorised count;
 * twisted LDL^T factorizations for pencil eigenvectors, O(N) each;
-* Jacobi for dense symmetric matrices (the Green-kernel route): each step
-  rotates a round of disjoint pairs with |a_pq| > tol*sqrt|a_pp|*sqrt|a_qq|
-  until no entry of the matrix exceeds that; no product of two entries is
-  formed, and graded positive definite inputs keep high relative accuracy.
+* the Green-kernel route, which shares no code with the core: the
+  weighted Green matrix W G W = L L^T by dense Cholesky, then L^T sign(M) L
+  by Jacobi, whose eigenvalues are the reciprocals. Each Jacobi step
+  rotates a round of disjoint pairs with |a_pq| > rot_tol*sqrt|a_pp|*sqrt|a_qq|
+  (rot_tol = max(1e-15, 4*n*eps)) until no entry of the matrix exceeds
+  that; no product of two entries is formed, and graded positive definite
+  inputs keep high relative accuracy.
 
-Iteration caps (120 bisection steps, 30 Jacobi sweeps, 50 inverse
-iteration steps) are diagnostics, not tunables.
+Tolerances and iteration caps (section brackets 1e-13 relative, 120
+bisection steps, 30 Jacobi sweeps) are diagnostics, not tunables.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ _MU_GUARD = 1e-290
 _LIFT = 512  # a spectrum below 1 lands in (1e-155, 2^512): clear of _PIVMIN and 1/_MU_GUARD
 _BISECT_CAP = 120
 _SWEEP_CAP = 30
-_INVIT_CAP = 50
+_SECTION_TOL = 1e-13
 _EPS = np.finfo(float).eps
 
 
@@ -71,8 +74,9 @@ class EigenvalueList:
     residual_bound is relative: for bisection (sections and pencils) the
     widest final bracket over max(|lo|, |hi|), at most eps for pencils,
     whose brackets close to adjacent doubles; for Jacobi the largest
-    |a_ij| / (sqrt|a_ii| * sqrt|a_jj|) left. dropped counts pencil
-    eigenvalues beyond 1/_MU_GUARD, which are excluded rather than computed.
+    |a_ij| / (sqrt|a_ii| * sqrt|a_jj|) left. dropped counts eigenvalues
+    beyond 1/_MU_GUARD (for Green, reciprocals below _MU_GUARD), which are
+    excluded rather than reported.
     """
 
     values: np.ndarray
@@ -216,28 +220,16 @@ def _bisect(diag, off, mass, glo: float, ghi: float, idxs: np.ndarray, tol: floa
     return vals, width
 
 
-def tridiag_eigs(
-    T: TridiagonalSymmetric,
-    index_range: tuple[int, int] | None = None,
-    tol: float = 1e-13,
-) -> EigenvalueList:
-    """Eigenvalues lambda_k1..lambda_k2 (1-based, ascending) by bisection.
+def tridiag_eigs(T: TridiagonalSymmetric) -> EigenvalueList:
+    """All eigenvalues of T, ascending, by bisection.
 
     The inertia core with unit mass; each eigenvalue is bracketed to
-    relative width <= tol.
+    relative width <= _SECTION_TOL.
     """
-    if tol < 4 * _EPS:
-        raise OutOfRange(f"tol below 4*eps: {tol!r}")
     n = T.order
-    if index_range is None:
-        k1, k2 = 1, n
-    else:
-        k1, k2 = int(index_range[0]), int(index_range[1])
-        if not 1 <= k1 <= k2 <= n:
-            raise OutOfRange(f"index range {index_range!r} outside 1..{n}")
     unit = np.ones(n)
     glo, ghi = _gershgorin(T.diag, T.offdiag, unit)
-    vals, width = _bisect(T.diag, T.offdiag, unit, glo, ghi, np.arange(k1, k2 + 1), tol)
+    vals, width = _bisect(T.diag, T.offdiag, unit, glo, ghi, np.arange(1, n + 1), _SECTION_TOL)
     return EigenvalueList(vals, residual_bound=width, method="bisect")
 
 
@@ -320,31 +312,54 @@ def _rotate_round(A: np.ndarray, pq: np.ndarray, rot_tol: float) -> None:
     flat[ix[2:]] = 0.0
 
 
-def dense_symmetric_eigs(S: np.ndarray, tol: float = 1e-13) -> EigenvalueList:
-    """All eigenvalues of a dense symmetric matrix by round-robin Jacobi.
+def _dense_cholesky(H: np.ndarray) -> np.ndarray:
+    """Lower triangular L with L L^T = H for dense symmetric positive definite H."""
+    n = H.shape[0]
+    L = np.zeros((n, n))
+    for j in range(n):
+        piv = H[j, j] - L[j, :j] @ L[j, :j]
+        if not piv > 0.0:
+            raise NotPositiveDefinite(f"pivot {piv!r} at row {j + 1}")
+        L[j, j] = math.sqrt(piv)
+        L[j + 1 :, j] = (H[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return L
 
-    Rotations run until no |a_ij| exceeds max(1e-15, 4*n*eps) *
-    sqrt|a_ii| * sqrt|a_jj|; residual_bound is the largest such ratio left.
-    High relative accuracy on graded positive definite matrices is the
-    point of this solver; tol is accepted for the common solver signature.
+
+def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
+    """Eigenvalues lambda = 1/mu, ascending, where G*diag(masses) y = mu y.
+
+    G is the unweighted Green matrix of operators and is overwritten. With
+    W = sqrt(|m|) and S = sign(m), the similarity transform of G*diag(m) is
+    H*S with H = W G W symmetric positive definite; H = L L^T turns
+    H S z = mu z into the symmetric problem (L^T S L) w = mu w for either
+    sign of d. G is totally nonnegative, so L >= 0 and L^T L forms without
+    cancellation; Jacobi needs fewer rotations on it than on H. mu below
+    _MU_GUARD in magnitude is counted in dropped; residual_bound is the
+    relative off-diagonal Jacobi leaves.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise OutOfRange(f"S must be square, got shape {S.shape}")
-    scale = float(np.max(np.abs(S))) if S.size else 0.0
-    if scale > 0.0 and float(np.max(np.abs(S - S.T))) > 1e-12 * scale:
-        raise OutOfRange("S is not symmetric to 1e-12 relative")
-    vals, rel = _jacobi(0.5 * (S + S.T))
-    return EigenvalueList(vals, residual_bound=rel, method="jacobi")
+    W = np.sqrt(np.abs(masses))
+    H = G  # H, then S L, then L^T S L share G's buffer
+    H *= W[:, None]
+    H *= W
+    L = _dense_cholesky(H)  # reads the lower triangle only
+    T = L.T @ np.multiply(np.sign(masses)[:, None], L, out=H)
+    np.add(T, T.T, out=H)
+    H *= 0.5
+    del L, T
+    mu, rel = _jacobi(H)
+    keep = np.abs(mu) >= _MU_GUARD
+    if not keep.any():
+        raise ZeroEigenvalue("all reciprocal eigenvalues below the underflow guard")
+    values = np.sort(1.0 / mu[keep])
+    return EigenvalueList(values, residual_bound=rel, method="jacobi", dropped=int(np.sum(~keep)))
 
 
-def solve_pencil(p: PencilProblem, tol: float = 1e-13) -> EigenvalueList:
+def solve_pencil(p: PencilProblem) -> EigenvalueList:
     """Eigenvalues of K y = lambda M y, ascending, by the inertia core.
 
     The brackets come from Gershgorin on sign(M) |M|^(-1/2) K |M|^(-1/2),
     cut to |lambda| <= 1/_MU_GUARD; eigenvalues beyond that are counted in
-    dropped. Every bracket closes to adjacent doubles, so the result meets
-    any tol >= eps; tol is accepted for the common solver signature.
+    dropped. Every bracket closes to adjacent doubles.
 
     A spectrum inside (-1, 1) may reach down to _PIVMIN, where brackets
     stop closing relatively: it is solved with the masses times 2^-_LIFT
@@ -390,45 +405,13 @@ def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=0)
 
 
-def pencil_eigenpairs(
-    p: PencilProblem, tol: float = 1e-13
-) -> tuple[np.ndarray, np.ndarray, EigenvalueList]:
+def pencil_eigenpairs(p: PencilProblem) -> tuple[np.ndarray, np.ndarray, EigenvalueList]:
     """Eigenvalues and unit eigenvectors of K y = lambda M y.
 
     Eigenvalues come from solve_pencil, eigenvectors from one twisted
     factorization each, with the componentwise accuracy that slope and
     form checks need. Returns (lambda ascending, y columns, EigenvalueList).
     """
-    info = solve_pencil(p, tol)
+    info = solve_pencil(p)
     return info.values, _twisted_vectors(p, info.values), info
 
-
-def inverse_iteration(matrix, lam: float, tol: float = 1e-10) -> np.ndarray:
-    """Unit eigenvector for an eigenvalue already known to accuracy ~tol.
-
-    Accepts a TridiagonalSymmetric or a dense symmetric array. Returns v
-    with ||(A - lam) v|| <= 10*tol*||A||; the sign is fixed so the largest
-    component is positive.
-    """
-    A = matrix.dense() if isinstance(matrix, TridiagonalSymmetric) else np.asarray(matrix, dtype=float)
-    n = A.shape[0]
-    norm = float(np.max(np.sum(np.abs(A), axis=1)))
-    shift = float(lam)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(_INVIT_CAP):
-        try:
-            w = np.linalg.solve(A - shift * np.eye(n), v)
-            wn = float(np.linalg.norm(w))
-        except np.linalg.LinAlgError:
-            wn = 0.0
-        if wn == 0.0 or not math.isfinite(wn):
-            # (near-)exact singularity: nudge the shift off the eigenvalue
-            shift += 10.0 * _EPS * max(abs(shift), norm, 1.0)
-            continue
-        v = w / wn
-        if v[int(np.argmax(np.abs(v)))] < 0.0:
-            v = -v
-        res = float(np.linalg.norm(A @ v - lam * v))
-        if res <= 10.0 * tol * norm:
-            return v
-    raise NonConvergence(f"inverse iteration cap {_INVIT_CAP} reached")

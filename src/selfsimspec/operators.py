@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndefiniteCase, OutOfRange, RangeOverflow
-from .selfsim import DiscreteWeight, SelfSimilarParams, _freeze
+from .selfsim import DiscreteWeight, SelfSimilarParams, _freeze, weight_truncation
 
 @dataclass(frozen=True)
 class TridiagonalSymmetric:
@@ -93,8 +93,6 @@ def section(params: SelfSimilarParams, N: int, kind: str) -> BandedSection:
     from the order-N truncation.
     """
     if kind in ("Stiffness", "Mass", "Green"):
-        from .selfsim import weight_truncation
-
         w = weight_truncation(params, N)
         if kind == "Stiffness":
             return BandedSection(kind, _freeze(stiffness_matrix(w).dense()), N)
@@ -190,12 +188,14 @@ def green_kernel_matrix(weight: DiscreteWeight) -> np.ndarray:
 
 
 def _green_unweighted(weight: DiscreteWeight) -> np.ndarray:
-    """G(x_i, x_j) alone, from the gaps: (1 - a^min(i,j)) * a^max(i,j)."""
-    N = weight.order
-    i = np.arange(N)
-    lo = np.minimum.outer(i, i)
-    hi = np.maximum.outer(i, i)
-    return (1.0 - weight.gaps[lo]) * weight.gaps[hi]
+    """G(x_i, x_j) alone, from the gaps: (1 - a^min(i,j)) * a^max(i,j).
+
+    Both products (1 - a^i) * a^j and (1 - a^j) * a^i are formed; the wanted
+    one is the smaller by a factor of at least 1/a, far above rounding, so
+    the minimum picks it exactly.
+    """
+    U = np.multiply.outer(1.0 - weight.gaps, weight.gaps)
+    return np.minimum(U, U.T, out=U)
 
 
 def _materialized(params: SelfSimilarParams, s: SlopeSequence, depth: int) -> np.ndarray:

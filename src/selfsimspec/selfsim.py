@@ -33,8 +33,9 @@ from .errors import (
 )
 
 # Largest magnitudes tolerated in downstream matrix entries. Entries of the
-# tridiagonal sections grow like q^N and Sturm counts square the
-# off-diagonal, so the guard keeps q^N comfortably inside double range.
+# tridiagonal sections grow like q^N (the masses like d^N); the guard keeps
+# them inside double range with room for the sums and pivot updates formed
+# from them. Sturm counts form no product of two entries.
 _GAP_FLOOR = 1e-300
 _ENTRY_CEIL = 1e290
 

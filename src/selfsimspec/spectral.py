@@ -7,15 +7,18 @@ Three formulations of the same eigenvalue problem:
 * "fem-pencil": inertia-count bisection on the tridiagonal stiffness
   matrix against the diagonal mass matrix, O(N) per probe, for either
   sign of d;
-* "green-kernel": the Green kernel matrix, factored as L L^T, with
-  L^T sign(M) L diagonalized by round-robin Jacobi, O(N^3); its eigenvalues
-  are the reciprocals. It shares no solver code with the other two.
+* "green-kernel": the weighted Green kernel matrix, factored as L L^T,
+  with L^T sign(M) L diagonalized by round-robin Jacobi, O(N^3); its
+  eigenvalues are the reciprocals. It shares no solver code with the
+  other two.
 
-compute_spectrum produces them, cross_validate compares them pairwise,
-estimate_c and indefinite_report check the geometric laws lambda_k ~ c*q^k
-(single sign) and lambda_(+/-j) ~ +/- c*q^(2j) (alternating signs), and
-verify_suite bundles the package's internal consistency checks for the
-command line.
+The solvers all live in eigensolve and return an EigenvalueList; this
+module builds their inputs. compute_spectrum produces the spectra and
+refuses N beyond the range guard with RangeOverflow on every formulation,
+cross_validate compares them pairwise, estimate_c and indefinite_report
+check the geometric laws lambda_k ~ c*q^k (single sign) and
+lambda_(+/-j) ~ +/- c*q^(2j) (alternating signs), and verify_suite bundles
+the package's internal consistency checks for the command line.
 """
 
 from __future__ import annotations
@@ -25,23 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyWindow,
-    IndefiniteCase,
-    NotPositiveDefinite,
-    OutOfRange,
-    WrongSign,
-    ZeroEigenvalue,
-)
-from .eigensolve import (
-    _MU_GUARD,
-    PencilProblem,
-    _jacobi,
-    pencil_eigenpairs,
-    solve_pencil,
-    tridiag_eigs,
-)
+from .errors import EmptyWindow, IndefiniteCase, OutOfRange, WrongSign
+from .eigensolve import PencilProblem, pencil_eigenpairs, solve_green, solve_pencil, tridiag_eigs
 from .operators import (
+    _check_order,
     _green_unweighted,
     boundary_functional,
     eigenfunction_slopes,
@@ -116,45 +106,6 @@ class CrossValidation:
     max_rel_diff: dict[str, float]
 
 
-def _dense_cholesky(H: np.ndarray) -> np.ndarray:
-    """Lower triangular L with L L^T = H for dense symmetric positive definite H."""
-    n = H.shape[0]
-    L = np.zeros((n, n))
-    for j in range(n):
-        piv = H[j, j] - L[j, :j] @ L[j, :j]
-        if not piv > 0.0:
-            raise NotPositiveDefinite(f"pivot {piv!r} at row {j + 1}")
-        L[j, j] = math.sqrt(piv)
-        L[j + 1 :, j] = (H[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def _green_values(params: SelfSimilarParams, N: int) -> tuple[np.ndarray, int]:
-    """Eigenvalues via the Green kernel: reciprocals of a bounded matrix.
-
-    With W = sqrt(|m|) and S = sign(m), the similarity transform of
-    G*diag(m) is H*S with H = W G W symmetric positive definite; H = L L^T
-    turns H S z = mu z into the symmetric problem (L^T S L) w = mu w for
-    either sign of d. G is totally nonnegative, so L >= 0 and L^T L forms
-    without cancellation; Jacobi needs fewer rotations on it than on H.
-    """
-    w = weight_truncation(params, N)
-    W = np.sqrt(np.abs(w.masses))
-    H = _green_unweighted(w)  # H, then S L, then L^T S L share one buffer
-    H *= W[:, None]
-    H *= W
-    L = _dense_cholesky(H)  # reads the lower triangle only
-    T = L.T @ np.multiply(np.sign(w.masses)[:, None], L, out=H)
-    np.add(T, T.T, out=H)
-    H *= 0.5
-    del L, T
-    mu, _ = _jacobi(H)
-    keep = np.abs(mu) >= _MU_GUARD
-    if not keep.any():
-        raise ZeroEigenvalue("all reciprocal eigenvalues below the underflow guard")
-    return np.sort(1.0 / mu[keep]), int(np.sum(~keep))
-
-
 def _fem_pencil(params: SelfSimilarParams, N: int) -> PencilProblem:
     """The hat-function stiffness/mass pencil of the order-N truncation."""
     w = weight_truncation(params, N)
@@ -178,33 +129,34 @@ def compute_spectrum(
     N: int,
     formulation: str = "fem-pencil",
     count: int | None = None,
-    tol: float = 1e-13,
 ) -> SpectrumResult:
     """Eigenvalues of the order-N problem in the requested formulation.
 
     count selects that many eigenvalues of smallest magnitude (all when
     None); values are stored ascending by signed value. The three
     formulations agree to near machine precision; "jacobi-section" exists
-    for d > 0 only and divides the section eigenvalues by r.
+    for d > 0 only and divides the section eigenvalues by r. N beyond
+    params.max_order raises RangeOverflow on every formulation.
     """
     if formulation not in FORMULATIONS:
         raise OutOfRange(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
+    if formulation == "jacobi-section" and params.d < 0:
+        raise IndefiniteCase("jacobi-section needs d > 0; use fem-pencil or green-kernel")
+    _check_order(params, N)
     if formulation == "jacobi-section":
-        if params.d < 0:
-            raise IndefiniteCase("jacobi-section needs d > 0; use fem-pencil or green-kernel")
-        ev = tridiag_eigs(symmetrized_section(params, N), tol=max(tol, 1e-15))
-        values, dropped = np.sort(ev.values / params.r), 0
+        ev = tridiag_eigs(symmetrized_section(params, N))
+        values = np.sort(ev.values / params.r)
     elif formulation == "fem-pencil":
-        ev = solve_pencil(_fem_pencil(params, N), tol)
-        values, dropped = ev.values, ev.dropped
+        ev = solve_pencil(_fem_pencil(params, N))
+        values = ev.values
     else:
-        values, dropped = _green_values(params, N)
-    return SpectrumResult(params, N, formulation, _select(values, count), dropped)
+        w = weight_truncation(params, N)
+        ev = solve_green(_green_unweighted(w), w.masses)
+        values = ev.values
+    return SpectrumResult(params, N, formulation, _select(values, count), ev.dropped)
 
 
-def cross_validate(
-    params: SelfSimilarParams, N: int, count: int | None = None, tol: float = 1e-13
-) -> CrossValidation:
+def cross_validate(params: SelfSimilarParams, N: int, count: int | None = None) -> CrossValidation:
     """Pairwise relative disagreement of the formulations at order N.
 
     Always compares fem-pencil against green-kernel, which solve the same
@@ -215,8 +167,8 @@ def cross_validate(
     top indices never match any fixed truncation. Eigenvalues are aligned
     by ascending order.
     """
-    fem = compute_spectrum(params, N, "fem-pencil", count, tol).values
-    green = compute_spectrum(params, N, "green-kernel", count, tol).values
+    fem = compute_spectrum(params, N, "fem-pencil", count).values
+    green = compute_spectrum(params, N, "green-kernel", count).values
     diffs = {}
 
     def _pair(a: np.ndarray, b: np.ndarray, upto: int | None = None) -> float:
@@ -228,7 +180,7 @@ def cross_validate(
 
     diffs["fem-pencil:green-kernel"] = _pair(fem, green)
     if params.d > 0:
-        jac = compute_spectrum(params, N, "jacobi-section", count, tol).values
+        jac = compute_spectrum(params, N, "jacobi-section", count).values
         diffs["jacobi-section:fem-pencil"] = _pair(jac, fem, upto=max(N // 2, 1))
     used = count if count is not None else min(len(fem), len(green))
     return CrossValidation(N, used, diffs)

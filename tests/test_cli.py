@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_cli
+from conftest import canonical, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,6 +84,13 @@ class TestExitCodes:
     def test_numerical_failure_is_three(self):
         code, _, err = run_cli("matrix", "--kind", "ABinv", "--n", "500")
         assert code == 3
+        assert err.startswith("RangeOverflow")
+
+    def test_spectrum_beyond_the_guard_is_three(self):
+        n = str(canonical().max_order + 1)  # 482
+        code, out, err = run_cli("spectrum", "--n", n, "--formulation", "fem")
+        assert code == 3
+        assert out == ""
         assert err.startswith("RangeOverflow")
 
     def test_unknown_flag_value_is_two(self):

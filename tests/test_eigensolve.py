@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import selfsimspec as ss
 from selfsimspec.eigensolve import _jacobi
 
-from conftest import canonical
+from conftest import canonical, contraction_params
 
 P = canonical()
 
@@ -46,29 +46,17 @@ class TestTridiagEigs:
         want = [(15.0 - math.sqrt(113.0)) / 2.0, (15.0 + math.sqrt(113.0)) / 2.0]
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
-    def test_index_range_selects(self):
-        T = ss.symmetrized_section(P, 6)
-        full = ss.tridiag_eigs(T).values
-        low = ss.tridiag_eigs(T, index_range=(1, 2)).values
-        top = ss.tridiag_eigs(T, index_range=(6, 6)).values
-        np.testing.assert_allclose(low, full[:2], rtol=1e-12)
-        np.testing.assert_allclose(top, full[-1:], rtol=1e-12)
-
-    def test_bad_index_range(self):
-        T = ss.symmetrized_section(P, 4)
-        with pytest.raises(ss.OutOfRange):
-            ss.tridiag_eigs(T, index_range=(0, 2))
-        with pytest.raises(ss.OutOfRange):
-            ss.tridiag_eigs(T, index_range=(3, 5))
-
-    def test_tol_floor(self):
-        with pytest.raises(ss.OutOfRange):
-            ss.tridiag_eigs(ss.symmetrized_section(P, 3), tol=1e-18)
-
-    def test_interlacing(self):
-        big = ss.tridiag_eigs(ss.symmetrized_section(P, 12)).values
-        small = ss.tridiag_eigs(ss.symmetrized_section(P, 11)).values
-        for k in range(11):
+    @given(contraction_params(edge=0.99).filter(lambda p: p.d > 0), st.integers(3, 80))
+    @example(P, 12)
+    @settings(deadline=None, max_examples=30)
+    def test_interlacing(self, p, N):
+        """The order N - 1 section is the leading block of the order N one,
+        so their eigenvalues interlace (Cauchy); the sections are positive
+        definite for d > 0."""
+        N = min(N, p.max_order)
+        big = ss.tridiag_eigs(ss.symmetrized_section(p, N)).values
+        small = ss.tridiag_eigs(ss.symmetrized_section(p, N - 1)).values
+        for k in range(N - 1):
             assert big[k] <= small[k] * (1 + 1e-12)
             assert small[k] <= big[k + 1] * (1 + 1e-12)
 
@@ -163,27 +151,8 @@ class TestSolvePencil:
 
 class TestDenseJacobi:
     def test_two_by_two(self):
-        out = ss.dense_symmetric_eigs(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(out.values, [1.0, 3.0], rtol=1e-14)
-        assert out.method == "jacobi"
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ss.OutOfRange):
-            ss.dense_symmetric_eigs(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_graded_matrix_keeps_small_eigenvalues(self):
-        """Reciprocals of the Green kernel eigenvalues must match the pencil
-        route to near machine precision across 12 decades."""
-        w = ss.weight_truncation(P, 20)
-        C = ss.green_kernel_matrix(w)
-        m = w.masses
-        H = np.sqrt(m)[:, None] * (C / m[None, :]) * np.sqrt(m)[None, :]
-        mu = ss.dense_symmetric_eigs(0.5 * (H + H.T)).values
-        lam = np.sort(1.0 / mu)
-        pencil = ss.solve_pencil(
-            ss.PencilProblem(ss.stiffness_matrix(w), ss.mass_matrix(w), 20)
-        ).values
-        np.testing.assert_allclose(lam, pencil, rtol=1e-12)
+        vals, _ = _jacobi(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(vals, [1.0, 3.0], rtol=1e-14)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 7))
     @settings(deadline=None, max_examples=40)
@@ -191,13 +160,25 @@ class TestDenseJacobi:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n))
         S = A + A.T
-        got = ss.dense_symmetric_eigs(S).values
+        got, _ = _jacobi(S.copy())
         want = np.linalg.eigvalsh(S)
         np.testing.assert_allclose(got, want, atol=1e-12 * np.abs(want).max())
 
     def test_nan_entry_never_converges(self):
         with pytest.raises(ss.NonConvergence):
-            ss.dense_symmetric_eigs(np.array([[1.0, np.nan], [np.nan, 2.0]]))
+            _jacobi(np.array([[1.0, np.nan], [np.nan, 2.0]]))
+
+    def test_green_result_states_method_bound_and_dropped(self):
+        """solve_green reports Jacobi's final relative off-diagonal and
+        leaves out reciprocals below the guard, like the pencil does."""
+        w = ss.weight_truncation(P, 20)
+        G = ss.green_kernel_matrix(w) / w.masses  # masses 2^(1-k): exact
+        leading = G[:2, :2].copy()  # solve_green overwrites G
+        out = ss.solve_green(G, w.masses)
+        assert out.method == "jacobi" and out.dropped == 0 and len(out.values) == 20
+        assert out.residual_bound <= max(1e-15, 80 * np.finfo(float).eps)
+        out = ss.solve_green(leading, np.array([1.0, 1e-300]))
+        assert out.dropped == 1 and len(out.values) == 1
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(17)
@@ -208,23 +189,23 @@ class TestDenseJacobi:
 
 
 class TestInverseIteration:
+    """pencil_eigenpairs solves (K - lambda*M) x = gamma_r e_r by a twisted
+    factorization: one step of inverse iteration from the unit vector at
+    the twist index r. With unit mass it gives eigenvectors of K itself."""
+
+    @staticmethod
+    def _unit_mass(T):
+        return ss.pencil_eigenpairs(ss.PencilProblem(T, np.ones(T.order), T.order))
+
     def test_picks_the_right_basis_vector(self):
-        v = ss.inverse_iteration(np.diag([1.0, 2.0, 3.0]), 2.0)
-        np.testing.assert_allclose(np.abs(v), [0.0, 1.0, 0.0], atol=1e-8)
+        _, Y, _ = self._unit_mass(_tridiag([1.0, 2.0, 3.0], [0.0, 0.0]))
+        np.testing.assert_allclose(np.abs(Y[:, 1]), [0.0, 1.0, 0.0], atol=1e-8)
 
     def test_eigenvector_of_the_section(self):
         T = ss.symmetrized_section(P, 2)
         lam = (15.0 - math.sqrt(113.0)) / 2.0
-        v = ss.inverse_iteration(T, lam)
+        v = self._unit_mass(T)[1][:, 0]
         res = np.linalg.norm(T.dense() @ v - lam * v)
         assert res <= 1e-10 * np.abs(T.dense()).sum()
         rq = float(v @ T.dense() @ v)
         assert rq == pytest.approx(lam, rel=1e-12)
-
-    def test_deterministic_sign(self):
-        T = ss.symmetrized_section(P, 5)
-        lam = ss.tridiag_eigs(T, index_range=(1, 1)).values[0]
-        v1 = ss.inverse_iteration(T, lam)
-        v2 = ss.inverse_iteration(T, lam)
-        np.testing.assert_array_equal(v1, v2)
-        assert v1[int(np.argmax(np.abs(v1)))] > 0

@@ -92,6 +92,16 @@ class TestWeightMatrices:
         C = ss.green_kernel_matrix(ss.weight_truncation(P, 2))
         np.testing.assert_array_equal(C, [[0.25, 0.0625], [0.125, 0.09375]])
 
+    def test_green_kernel_matches_index_closed_form(self):
+        """G built as the smaller of the two products equals the min/max
+        index form bit for bit on a non-dyadic a."""
+        N = 300
+        w = ss.weight_truncation(ss.make_params(0.37, -0.5, 0.0, 1.0), N)
+        i = np.arange(N)
+        lo, hi = np.minimum.outer(i, i), np.maximum.outer(i, i)
+        want = (1.0 - w.gaps[lo]) * w.gaps[hi] * w.masses[None, :]
+        np.testing.assert_array_equal(ss.green_kernel_matrix(w), want)
+
     def test_green_inverts_pencil(self):
         """C and the pencil are the same operator written both ways round."""
         w = ss.weight_truncation(P, 6)
@@ -206,8 +216,8 @@ class TestDomainDiagnostics:
         magnitude across the section."""
         N = 30
         T = ss.symmetrized_section(P, N)
-        lam1 = ss.tridiag_eigs(T, index_range=(1, 1)).values[0]
-        z = ss.inverse_iteration(T, lam1)
+        _, Z, _ = ss.pencil_eigenpairs(ss.PencilProblem(T, np.ones(N), N))
+        z = Z[:, 0]
         u = P.d ** (np.arange(N) / 2.0) * z
         tr = np.abs(ss.extension_condition_trace(P, u, N))
         assert tr[-1] <= 1e-6 * tr[0]

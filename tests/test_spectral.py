@@ -45,6 +45,13 @@ class TestComputeSpectrum:
         with pytest.raises(ss.OutOfRange):
             ss.compute_spectrum(P, 4, "qr")
 
+    @pytest.mark.parametrize("formulation", ss.FORMULATIONS)
+    def test_order_beyond_the_guard_overflows(self, formulation):
+        """Past max_order the eigenvalue guard would drop eigenvalues from
+        the pencil and Green routes, so every formulation refuses instead."""
+        with pytest.raises(ss.RangeOverflow):
+            ss.compute_spectrum(P, P.max_order + 1, formulation)
+
     def test_count_selects_smallest_magnitude(self):
         spec = ss.compute_spectrum(PN, 10, "fem-pencil", count=2)
         assert len(spec.values) == 2
