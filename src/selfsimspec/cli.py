@@ -13,14 +13,11 @@ import json
 import sys
 
 from .errors import NumericalError, OutOfRange, ValidationError
-from .operators import section, symmetrized_section
+from .operators import SECTION_KINDS, section
 from .selfsim import make_params, step_function, weight_truncation
 from .spectral import compute_spectrum, estimate_c, indefinite_report, verify_suite
 
 _FORMULATION = {"jacobi": "jacobi-section", "fem": "fem-pencil", "green": "green-kernel"}
-_KIND_MAP = {"K": "Stiffness", "M": "Mass", "green": "Green"}
-_KINDS = ("A", "B", "Binv", "ABinv", "sym", "K", "M", "green")
-_VERIFY_SEED = 1234
 
 
 def _json_text(payload) -> str:
@@ -79,10 +76,7 @@ def _cmd_weight(args, params) -> str:
 
 
 def _cmd_matrix(args, params) -> str:
-    if args.kind == "sym":
-        data = symmetrized_section(params, args.n).dense()
-    else:
-        data = section(params, args.n, _KIND_MAP.get(args.kind, args.kind)).data
+    data = section(params, args.n, args.kind)
     if args.format == "csv":
         header = [f"c{j + 1}" for j in range(data.shape[1])]
         rows = [[_cell(x) for x in row] for row in data]
@@ -172,7 +166,7 @@ def _cmd_asymptotics(args, params) -> str:
 
 
 def _cmd_verify(args, params) -> tuple[str, int]:
-    results = verify_suite(params, N=args.n, seed=_VERIFY_SEED)
+    results = verify_suite(params, N=args.n)
     lines = [
         f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results
     ]
@@ -197,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("weight", parents=[common], help="positions, masses and plateau values")
     p_matrix = sub.add_parser("matrix", parents=[common], help="N x N matrix section")
-    p_matrix.add_argument("--kind", choices=_KINDS, default="ABinv")
+    p_matrix.add_argument("--kind", choices=SECTION_KINDS, default="ABinv")
     p_spectrum = sub.add_parser("spectrum", parents=[common], help="eigenvalues, ascending")
     p_spectrum.add_argument("--formulation", choices=tuple(_FORMULATION), default="fem")
     p_spectrum.add_argument("--count", type=int, default=None)

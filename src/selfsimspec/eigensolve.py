@@ -11,15 +11,19 @@ here therefore works with relative thresholds:
   pivot signs of T - x*diag(m) count the eigenvalues below each probe;
   brackets are isolated on a binary probe grid first, so each spans at
   most a factor of 2 and the iteration cap holds across the full dynamic
-  range, then cut by multisection, many probes per vectorised count;
+  range, then cut by multisection, many probes per vectorised count,
+  until they are narrow relative to their ends or close to adjacent
+  doubles; no stop has an absolute term, so eigenvalues near 1e-300 keep
+  their digits;
 * twisted LDL^T factorizations for pencil eigenvectors, O(N) each;
 * the Green-kernel route, which shares no code with the core: the
-  weighted Green matrix W G W = L L^T by dense Cholesky, then L^T sign(M) L
-  by Jacobi, whose eigenvalues are the reciprocals. Each Jacobi step
-  rotates a round of disjoint pairs with |a_pq| > rot_tol*sqrt|a_pp|*sqrt|a_qq|
-  (rot_tol = max(1e-15, 4*n*eps)) until no entry of the matrix exceeds
-  that; no product of two entries is formed, and graded positive definite
-  inputs keep high relative accuracy.
+  weighted Green matrix W G W = L L^T by LAPACK's Cholesky, then
+  L^T sign(M) L by Jacobi, whose eigenvalues are the reciprocals. Each
+  Jacobi step rotates a round of disjoint pairs with
+  |a_pq| > rot_tol*sqrt|a_pp|*sqrt|a_qq| (rot_tol = max(1e-15, 4*n*eps))
+  until no entry of the matrix exceeds that; no product of two entries
+  is formed, and graded positive definite inputs keep high relative
+  accuracy.
 
 Tolerances and iteration caps (section brackets 1e-13 relative, 120
 bisection steps, 30 Jacobi sweeps) are diagnostics, not tunables.
@@ -43,7 +47,6 @@ from .operators import TridiagonalSymmetric
 
 _PIVMIN = 1e-300
 _MU_GUARD = 1e-290
-_LIFT = 512  # a spectrum below 1 lands in (1e-155, 2^512): clear of _PIVMIN and 1/_MU_GUARD
 _BISECT_CAP = 120
 _SWEEP_CAP = 30
 _SECTION_TOL = 1e-13
@@ -209,7 +212,7 @@ def _bisect(diag, off, mass, glo: float, ghi: float, idxs: np.ndarray, tol: floa
         new_lo, new_hi = ends[rows, c], ends[rows, c + 1]
         stuck = (new_lo == los[act]) & (new_hi == his[act])
         los[act], his[act] = new_lo, new_hi
-        done = (new_hi - new_lo) <= tol * np.maximum(np.abs(new_lo), np.abs(new_hi)) + _PIVMIN
+        done = (new_hi - new_lo) <= tol * np.maximum(np.abs(new_lo), np.abs(new_hi))
         active[act[done | stuck]] = False
     if active.any():
         raise NonConvergence(f"bisection cap {_BISECT_CAP} reached")
@@ -312,19 +315,6 @@ def _rotate_round(A: np.ndarray, pq: np.ndarray, rot_tol: float) -> None:
     flat[ix[2:]] = 0.0
 
 
-def _dense_cholesky(H: np.ndarray) -> np.ndarray:
-    """Lower triangular L with L L^T = H for dense symmetric positive definite H."""
-    n = H.shape[0]
-    L = np.zeros((n, n))
-    for j in range(n):
-        piv = H[j, j] - L[j, :j] @ L[j, :j]
-        if not piv > 0.0:
-            raise NotPositiveDefinite(f"pivot {piv!r} at row {j + 1}")
-        L[j, j] = math.sqrt(piv)
-        L[j + 1 :, j] = (H[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
 def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
     """Eigenvalues lambda = 1/mu, ascending, where G*diag(masses) y = mu y.
 
@@ -335,13 +325,17 @@ def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
     sign of d. G is totally nonnegative, so L >= 0 and L^T L forms without
     cancellation; Jacobi needs fewer rotations on it than on H. mu below
     _MU_GUARD in magnitude is counted in dropped; residual_bound is the
-    relative off-diagonal Jacobi leaves.
+    relative off-diagonal Jacobi leaves. LAPACK's Cholesky passes a NaN
+    pivot through rather than reject it; Jacobi then raises NonConvergence.
     """
     W = np.sqrt(np.abs(masses))
     H = G  # H, then S L, then L^T S L share G's buffer
     H *= W[:, None]
     H *= W
-    L = _dense_cholesky(H)  # reads the lower triangle only
+    try:
+        L = np.linalg.cholesky(H)  # reads the lower triangle only
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"weighted Green matrix: {exc}") from None
     T = L.T @ np.multiply(np.sign(masses)[:, None], L, out=H)
     np.add(T, T.T, out=H)
     H *= 0.5
@@ -360,22 +354,15 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
     The brackets come from Gershgorin on sign(M) |M|^(-1/2) K |M|^(-1/2),
     cut to |lambda| <= 1/_MU_GUARD; eigenvalues beyond that are counted in
     dropped. Every bracket closes to adjacent doubles.
-
-    A spectrum inside (-1, 1) may reach down to _PIVMIN, where brackets
-    stop closing relatively: it is solved with the masses times 2^-_LIFT
-    (exact) and its eigenvalues scaled back.
     """
     K, n = p.K, p.order
     if _counts_below(K.diag, K.offdiag, np.ones(n), [0.0])[0]:
         raise NotPositiveDefinite("stiffness matrix has a negative eigenvalue")
-    lift = _LIFT if max(np.abs(_gershgorin(K.diag, K.offdiag, p.M))) < 1.0 else 0
-    m = np.ldexp(p.M, -lift)
-    glo, ghi = np.clip(_gershgorin(K.diag, K.offdiag, m), -1.0 / _MU_GUARD, 1.0 / _MU_GUARD)
-    k1, k2 = _counts_below(K.diag, K.offdiag, m, [glo, ghi])
+    glo, ghi = np.clip(_gershgorin(K.diag, K.offdiag, p.M), -1.0 / _MU_GUARD, 1.0 / _MU_GUARD)
+    k1, k2 = _counts_below(K.diag, K.offdiag, p.M, [glo, ghi])
     if k2 <= k1:
         raise ZeroEigenvalue("every eigenvalue lies beyond the range guard")
-    vals, width = _bisect(K.diag, K.offdiag, m, glo, ghi, np.arange(k1 + 1, k2 + 1), 0.0)
-    vals = np.ldexp(vals, -lift)
+    vals, width = _bisect(K.diag, K.offdiag, p.M, glo, ghi, np.arange(k1 + 1, k2 + 1), 0.0)
     return EigenvalueList(vals, residual_bound=width, method="bisect", dropped=int(n - (k2 - k1)))
 
 
@@ -384,8 +371,10 @@ def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
 
     Forward and backward LDL^T pivots D+ and D- of K - lambda*M meet at
     the twist index r where gamma_r = D+_r + D-_r - (K - lambda*M)_rr is
-    smallest in magnitude; with x_r = 1 the two bidiagonal factors carry
-    the solution outward. The sign makes x_r positive.
+    smallest relative to m_r, the twist of the mass-scaled problem: on a
+    graded pencil the roundoff of gamma's large rows exceeds its true
+    minimum. With x_r = 1 the two bidiagonal factors carry the solution
+    outward. The sign makes x_r positive.
     """
     d, e, m = p.K.diag, p.K.offdiag, p.M
     n, k = p.order, len(lam)
@@ -393,7 +382,7 @@ def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
         fwd = np.array(list(_pivots(d, e, m, lam)))
         bwd = np.array(list(_pivots(d[::-1], e[::-1], m[::-1], lam)))[::-1]
         gamma = fwd + bwd - (d[:, None] - m[:, None] * lam)
-    r = np.argmin(np.abs(gamma), axis=0)
+        r = np.argmin(np.abs(gamma) / np.abs(m)[:, None], axis=0)
     X = np.zeros((n, k))
     X[r, np.arange(k)] = 1.0
     for i in range(n - 2, -1, -1):

@@ -15,7 +15,9 @@ renderings, all built here:
   it serves as the independent check of the tridiagonal routes.
 
 All geometry uses the gaps a^k (see DiscreteWeight); entries grow like q^N
-and builders raise RangeOverflow past the params range guard.
+and builders raise RangeOverflow past the params range guard. section is
+the one catalogue of dense matrices (SECTION_KINDS, which the command line
+offers), every kind behind that guard.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ import numpy as np
 
 from .errors import IndefiniteCase, OutOfRange, RangeOverflow
 from .selfsim import DiscreteWeight, SelfSimilarParams, _freeze, weight_truncation
+
+SECTION_KINDS = ("A", "B", "Binv", "ABinv", "sym", "K", "M", "green")
+
 
 @dataclass(frozen=True)
 class TridiagonalSymmetric:
@@ -41,15 +46,6 @@ class TridiagonalSymmetric:
         out[idx, idx + 1] = self.offdiag
         out[idx + 1, idx] = self.offdiag
         return out
-
-
-@dataclass(frozen=True)
-class BandedSection:
-    """N x N leading principal section of a named infinite matrix."""
-
-    kind: str
-    data: np.ndarray
-    order: int
 
 
 @dataclass(frozen=True)
@@ -85,21 +81,24 @@ def _check_order(params: SelfSimilarParams, N: int) -> None:
         )
 
 
-def section(params: SelfSimilarParams, N: int, kind: str) -> BandedSection:
-    """Leading N x N section of the named matrix.
+def section(params: SelfSimilarParams, N: int, kind: str) -> np.ndarray:
+    """The N x N matrix of the named kind (one of SECTION_KINDS), read-only.
 
-    Kinds A, B, Binv, ABinv are the slope-to-sequence operators and their
-    composition; Stiffness, Mass, Green are the weight-side matrices built
-    from the order-N truncation.
+    A, B, Binv, ABinv are sections of the slope-to-sequence operators and
+    their composition, sym the symmetrized ABinv (d > 0 only); K, M and
+    green are the stiffness, mass and Green kernel matrices of the order-N
+    truncation. Every kind raises RangeOverflow for N > params.max_order.
     """
-    if kind in ("Stiffness", "Mass", "Green"):
-        w = weight_truncation(params, N)
-        if kind == "Stiffness":
-            return BandedSection(kind, _freeze(stiffness_matrix(w).dense()), N)
-        if kind == "Mass":
-            return BandedSection(kind, _freeze(np.diag(mass_matrix(w))), N)
-        return BandedSection(kind, _freeze(green_kernel_matrix(w)), N)
     _check_order(params, N)
+    if kind == "sym":
+        return _freeze(symmetrized_section(params, N).dense())
+    if kind in ("K", "M", "green"):
+        w = weight_truncation(params, N)
+        if kind == "K":
+            return _freeze(stiffness_matrix(w).dense())
+        if kind == "M":
+            return _freeze(np.diag(mass_matrix(w)))
+        return _freeze(green_kernel_matrix(w))
     a, d, q = params.a, params.d, params.q
     k = np.arange(N, dtype=float)
     idx = np.arange(N - 1)
@@ -120,7 +119,7 @@ def section(params: SelfSimilarParams, N: int, kind: str) -> BandedSection:
         raise OutOfRange(f"unknown section kind {kind!r}")
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(f"section {kind} entries overflow at N = {N}")
-    return BandedSection(kind, _freeze(out), N)
+    return _freeze(out)
 
 
 def symmetrized_section(params: SelfSimilarParams, N: int) -> TridiagonalSymmetric:

@@ -41,7 +41,13 @@ from .operators import (
     symmetrized_section,
     symmetry_defect,
 )
-from .selfsim import _ENTRY_CEIL, SelfSimilarParams, fixed_point_residual, weight_truncation
+from .selfsim import (
+    _ENTRY_CEIL,
+    DiscreteWeight,
+    SelfSimilarParams,
+    fixed_point_residual,
+    weight_truncation,
+)
 
 FORMULATIONS = ("jacobi-section", "fem-pencil", "green-kernel")
 
@@ -106,10 +112,18 @@ class CrossValidation:
     max_rel_diff: dict[str, float]
 
 
-def _fem_pencil(params: SelfSimilarParams, N: int) -> PencilProblem:
-    """The hat-function stiffness/mass pencil of the order-N truncation."""
-    w = weight_truncation(params, N)
-    return PencilProblem(stiffness_matrix(w), mass_matrix(w), N)
+def _fem_pencil(w: DiscreteWeight) -> PencilProblem:
+    """The hat-function stiffness/mass pencil of a truncated weight."""
+    return PencilProblem(stiffness_matrix(w), mass_matrix(w), w.order)
+
+
+def _max_rel_diff(a: np.ndarray, b: np.ndarray, upto: int | None = None) -> float:
+    """Worst |a_i - b_i| / max(|a_i|, |b_i|) over the leading indices both have."""
+    n = min(len(a), len(b)) if upto is None else min(len(a), len(b), upto)
+    if n == 0:
+        return 0.0
+    denom = np.maximum(np.abs(a[:n]), np.abs(b[:n]))
+    return float(np.max(np.abs(a[:n] - b[:n]) / denom))
 
 
 def _select(values: np.ndarray, count: int | None) -> np.ndarray:
@@ -146,17 +160,17 @@ def compute_spectrum(
     if formulation == "jacobi-section":
         ev = tridiag_eigs(symmetrized_section(params, N))
         values = np.sort(ev.values / params.r)
-    elif formulation == "fem-pencil":
-        ev = solve_pencil(_fem_pencil(params, N))
-        values = ev.values
     else:
         w = weight_truncation(params, N)
-        ev = solve_green(_green_unweighted(w), w.masses)
+        if formulation == "fem-pencil":
+            ev = solve_pencil(_fem_pencil(w))
+        else:
+            ev = solve_green(_green_unweighted(w), w.masses)
         values = ev.values
     return SpectrumResult(params, N, formulation, _select(values, count), ev.dropped)
 
 
-def cross_validate(params: SelfSimilarParams, N: int, count: int | None = None) -> CrossValidation:
+def cross_validate(params: SelfSimilarParams, N: int) -> CrossValidation:
     """Pairwise relative disagreement of the formulations at order N.
 
     Always compares fem-pencil against green-kernel, which solve the same
@@ -167,23 +181,13 @@ def cross_validate(params: SelfSimilarParams, N: int, count: int | None = None) 
     top indices never match any fixed truncation. Eigenvalues are aligned
     by ascending order.
     """
-    fem = compute_spectrum(params, N, "fem-pencil", count).values
-    green = compute_spectrum(params, N, "green-kernel", count).values
-    diffs = {}
-
-    def _pair(a: np.ndarray, b: np.ndarray, upto: int | None = None) -> float:
-        n = min(len(a), len(b)) if upto is None else min(len(a), len(b), upto)
-        if n == 0:
-            return 0.0
-        denom = np.maximum(np.abs(a[:n]), np.abs(b[:n]))
-        return float(np.max(np.abs(a[:n] - b[:n]) / denom))
-
-    diffs["fem-pencil:green-kernel"] = _pair(fem, green)
+    fem = compute_spectrum(params, N, "fem-pencil").values
+    green = compute_spectrum(params, N, "green-kernel").values
+    diffs = {"fem-pencil:green-kernel": _max_rel_diff(fem, green)}
     if params.d > 0:
-        jac = compute_spectrum(params, N, "jacobi-section", count).values
-        diffs["jacobi-section:fem-pencil"] = _pair(jac, fem, upto=max(N // 2, 1))
-    used = count if count is not None else min(len(fem), len(green))
-    return CrossValidation(N, used, diffs)
+        jac = compute_spectrum(params, N, "jacobi-section").values
+        diffs["jacobi-section:fem-pencil"] = _max_rel_diff(jac, fem, upto=max(N // 2, 1))
+    return CrossValidation(N, min(len(fem), len(green)), diffs)
 
 
 def _window_slice(n: int, window: tuple[int, int] | None, what: str) -> tuple[int, int]:
@@ -260,26 +264,21 @@ def indefinite_report(
     )
 
 
-def stable_window(
-    params: SelfSimilarParams,
-    N: int,
-    formulation: str = "green-kernel",
-    min_k: int = 8,
-    rel: float = 1e-4,
-) -> tuple[int, int]:
+def stable_window(params: SelfSimilarParams, N: int) -> tuple[int, int]:
     """Largest index window where the order-N spectrum has converged.
 
-    Compares against order N//2 and keeps the contiguous run of indices
-    k >= min_k whose eigenvalues moved by less than rel; the low indices
-    are excluded because the geometric law is asymptotic, the high ones
-    because they still feel the truncation.
+    Compares green-kernel at orders N and N//2 and keeps the contiguous
+    run of indices k >= 8 whose eigenvalues moved by less than 1e-4; the
+    low indices are excluded because the geometric law is asymptotic, the
+    high ones because they still feel the truncation.
     """
+    min_k, rel = 8, 1e-4
     if params.d < 0:
         raise WrongSign("stable_window applies to single-signed spectra")
     if N < 2 * min_k:
         raise EmptyWindow(f"order {N} too small for a window starting at {min_k}")
-    full = compute_spectrum(params, N, formulation).values
-    half = compute_spectrum(params, max(N // 2, 1), formulation).values
+    full = compute_spectrum(params, N, "green-kernel").values
+    half = compute_spectrum(params, max(N // 2, 1), "green-kernel").values
     limit = min(len(full), len(half))
     k = min_k
     if k > limit:
@@ -294,19 +293,18 @@ def stable_window(
     return min_k, k - 1
 
 
-def verify_suite(
-    params: SelfSimilarParams, N: int = 20, seed: int = 1234
-) -> list[tuple[str, bool, str]]:
+def verify_suite(params: SelfSimilarParams, N: int = 20) -> list[tuple[str, bool, str]]:
     """Internal consistency checks; returns (name, passed, detail) triples.
 
-    Deterministic for a given seed. Covers the fixed-point property of the
-    step function, formal symmetry of the section (relative to the size of
-    the paired edge terms it cancels), the quadratic-form
-    identity and boundary functional on eigenfunctions, agreement of the
-    pencil and Green formulations, and the inertia count.
+    Deterministic: the symmetry check's random pairs come from a fixed
+    seed. Covers the fixed-point property of the step function, formal
+    symmetry of the section (relative to the size of the paired edge terms
+    it cancels), the quadratic-form identity and boundary functional on
+    eigenfunctions, agreement of the pencil and Green formulations, and
+    the inertia count. Each spectrum is solved once.
     """
     out = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
 
     depth = min(40, params.max_order)
     res = fixed_point_residual(params, depth)
@@ -327,8 +325,8 @@ def verify_suite(
         worst = max(worst, defect / scale if scale > 0.0 else defect)
     out.append(("symmetry defect", worst <= 1e-12, f"max {worst:.3e} over 20 pairs at order {Ms}"))
 
-    lam, Y, _ = pencil_eigenpairs(_fem_pencil(params, M))
     w = weight_truncation(params, M)
+    lam, Y, _ = pencil_eigenpairs(_fem_pencil(w))
     worst_form = 0.0
     worst_bnd = 0.0
     for k in range(len(lam)):
@@ -340,8 +338,7 @@ def verify_suite(
     out.append(("quadratic form identity", worst_form <= 1e-9, f"max rel {worst_form:.3e}"))
     out.append(("boundary functional", worst_bnd <= 1e-9, f"max rel {worst_bnd:.3e}"))
 
-    cv = cross_validate(params, M)
-    fg = cv.max_rel_diff["fem-pencil:green-kernel"]
+    fg = _max_rel_diff(lam, compute_spectrum(params, M, "green-kernel").values)
     out.append(("fem vs green spectra", fg <= 1e-10, f"max rel {fg:.3e} at order {M}"))
 
     neg_m = int(np.sum(w.masses < 0.0))

@@ -86,6 +86,14 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("RangeOverflow")
 
+    @pytest.mark.parametrize("kind", ["K", "M", "green"])
+    def test_weight_matrices_beyond_the_guard_are_three(self, kind):
+        n = str(canonical().max_order + 1)  # 482
+        code, out, err = run_cli("matrix", "--kind", kind, "--n", n)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("RangeOverflow")
+
     def test_spectrum_beyond_the_guard_is_three(self):
         n = str(canonical().max_order + 1)  # 482
         code, out, err = run_cli("spectrum", "--n", n, "--formulation", "fem")

@@ -135,6 +135,14 @@ class TestSolvePencil:
                 assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
                 bscale = float(np.sum(p.a ** np.arange(len(s.values)) * np.abs(s.values)))
                 assert abs(ss.boundary_functional(p, s)) <= 1e-13 * bscale
+        # |d| > 1: the masses grow to 7e45 and 2e20, and the roundoff of gamma with them
+        for args, N in (((0.3, 1.7, 0.0, 1.0), 200), ((0.2, -1.5, 0.3, 1.0), 120)):
+            w = ss.weight_truncation(ss.make_params(*args), N)
+            K = ss.stiffness_matrix(w)
+            lam, Y, _ = ss.pencil_eigenpairs(ss.PencilProblem(K, ss.mass_matrix(w), N))
+            KY = K.dense() @ Y
+            res = np.linalg.norm(KY - lam * (w.masses[:, None] * Y), axis=0)
+            assert np.all(res <= 1e-12 * np.linalg.norm(KY, axis=0))
 
     def test_underflowing_masses_are_dropped(self):
         K = _tridiag([1.0, 1.0], [0.0])
@@ -179,6 +187,17 @@ class TestDenseJacobi:
         assert out.residual_bound <= max(1e-15, 80 * np.finfo(float).eps)
         out = ss.solve_green(leading, np.array([1.0, 1e-300]))
         assert out.dropped == 1 and len(out.values) == 1
+
+    def test_green_nan_is_a_numerical_error(self):
+        """LAPACK's Cholesky passes a NaN through; Jacobi then refuses it."""
+        G = ss.green_kernel_matrix(ss.weight_truncation(P, 4))
+        G[1, 2] = G[2, 1] = np.nan
+        with pytest.raises(ss.NumericalError):
+            ss.solve_green(G, np.ones(4))
+
+    def test_green_indefinite_rejected(self):
+        with pytest.raises(ss.NotPositiveDefinite):
+            ss.solve_green(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(17)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfsimspec as ss
+from selfsimspec.operators import SECTION_KINDS
 from conftest import canonical, valid_params
 
 P = canonical()
@@ -13,20 +14,20 @@ P = canonical()
 
 class TestSections:
     def test_abinv_canonical_three(self):
-        got = ss.section(P, 3, "ABinv").data
+        got = ss.section(P, 3, "ABinv")
         np.testing.assert_array_equal(
             got, [[3.0, -4.0, 0.0], [-2.0, 12.0, -16.0], [0.0, -8.0, 48.0]]
         )
 
     def test_a_two(self):
-        np.testing.assert_array_equal(ss.section(P, 2, "A").data, [[1.0, -1.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(ss.section(P, 2, "A"), [[1.0, -1.0], [0.0, 1.0]])
 
     def test_b_two(self):
-        np.testing.assert_array_equal(ss.section(P, 2, "B").data, [[1.0, 0.0], [0.5, 0.25]])
+        np.testing.assert_array_equal(ss.section(P, 2, "B"), [[1.0, 0.0], [0.5, 0.25]])
 
     def test_binv_inverts_b(self):
-        B = ss.section(P, 5, "B").data
-        Binv = ss.section(P, 5, "Binv").data
+        B = ss.section(P, 5, "B")
+        Binv = ss.section(P, 5, "Binv")
         np.testing.assert_allclose(Binv @ B, np.eye(5), atol=1e-14)
 
     @given(valid_params(), st.integers(2, 7))
@@ -35,8 +36,8 @@ class TestSections:
         """The composed product equals the direct section everywhere except
         the (N,N) corner, where truncating B^(-1) before multiplying loses
         the d*q^N contribution of row N+1."""
-        prod = ss.section(p, n, "A").data @ ss.section(p, n, "Binv").data
-        direct = ss.section(p, n, "ABinv").data
+        prod = ss.section(p, n, "A") @ ss.section(p, n, "Binv")
+        direct = ss.section(p, n, "ABinv")
         scale = np.abs(direct).max()
         diff = np.abs(prod - direct)
         diff[n - 1, n - 1] = 0.0
@@ -44,8 +45,8 @@ class TestSections:
 
     def test_corner_defect_is_d_q_to_n(self):
         n = 3
-        prod = ss.section(P, n, "A").data @ ss.section(P, n, "Binv").data
-        direct = ss.section(P, n, "ABinv").data
+        prod = ss.section(P, n, "A") @ ss.section(P, n, "Binv")
+        direct = ss.section(P, n, "ABinv")
         assert direct[n - 1, n - 1] - prod[n - 1, n - 1] == P.d * P.q**n
 
     def test_unknown_kind(self):
@@ -56,6 +57,24 @@ class TestSections:
         with pytest.raises(ss.RangeOverflow):
             ss.section(P, P.max_order + 1, "ABinv")
 
+    @pytest.mark.parametrize("kind", SECTION_KINDS)
+    def test_every_kind_has_the_order_guard(self, kind):
+        with pytest.raises(ss.RangeOverflow):
+            ss.section(P, P.max_order + 1, kind)
+
+    def test_weight_kinds_are_the_weight_matrices(self):
+        w = ss.weight_truncation(P, 4)
+        want = {
+            "K": ss.stiffness_matrix(w).dense(),
+            "M": np.diag(ss.mass_matrix(w)),
+            "green": ss.green_kernel_matrix(w),
+            "sym": ss.symmetrized_section(P, 4).dense(),
+        }
+        for kind, m in want.items():
+            got = ss.section(P, 4, kind)
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got, m)
+
 
 class TestSymmetrizedSection:
     def test_two_by_two(self):
@@ -65,7 +84,7 @@ class TestSymmetrizedSection:
 
     def test_same_spectrum_as_unsymmetrized(self):
         # similarity by the diagonal weight keeps eigenvalues
-        dense = ss.section(P, 6, "ABinv").data
+        dense = ss.section(P, 6, "ABinv")
         sym = ss.symmetrized_section(P, 6).dense()
         got = np.sort(np.linalg.eigvals(dense).real)
         want = np.sort(np.linalg.eigvalsh(sym))
@@ -176,7 +195,7 @@ class TestSymmetryDefect:
     def test_matches_weighted_inner_products_small(self):
         # brute force <Mu,v>_w - <u,Mv>_w at small order where no overflow hides
         p = ss.make_params(0.4, 0.8, 0.0, 1.0)
-        M = ss.section(p, 5, "ABinv").data
+        M = ss.section(p, 5, "ABinv")
         wgt = (1.0 / p.d) ** np.arange(5)
         rng = np.random.default_rng(11)
         u = rng.standard_normal(5)
