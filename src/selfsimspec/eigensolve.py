@@ -5,16 +5,16 @@ magnitude, and the small eigenvalues carry the asymptotics that the rest
 of the package verifies. Norm-based eigensolvers lose them; everything
 here therefore works with relative thresholds:
 
-* one inertia-count bisection core for tridiagonal problems
-  T y = lambda * diag(m) y: the section (unit mass) and the
-  stiffness/mass pencil (the weight's masses, of either sign). LDL^T
-  pivot signs of T - x*diag(m) count the eigenvalues below each probe;
+* one inertia-count bisection core, solve_pencil, for tridiagonal
+  problems T y = lambda * diag(m) y: the section (masses r times its
+  signature, either sign of d), the stiffness/mass pencil (the weight's
+  masses, of either sign) and tridiag_eigs (unit mass). LDL^T pivot
+  signs of T - x*diag(m) count the eigenvalues below each probe;
   brackets are isolated on a binary probe grid first, so each spans at
   most a factor of 2 and the iteration cap holds across the full dynamic
   range, then cut by multisection, many probes per vectorised count,
-  until they are narrow relative to their ends or close to adjacent
-  doubles; no stop has an absolute term, so eigenvalues near 1e-300 keep
-  their digits;
+  until their ends are adjacent doubles; no stop has an absolute term,
+  so eigenvalues near 1e-300 keep their digits;
 * twisted LDL^T factorizations for pencil eigenvectors, O(N) each;
 * the Green-kernel route, which shares no code with the core: the
   weighted Green matrix W G W = L L^T by LAPACK's Cholesky, then
@@ -25,8 +25,8 @@ here therefore works with relative thresholds:
   is formed, and graded positive definite inputs keep high relative
   accuracy.
 
-Tolerances and iteration caps (section brackets 1e-13 relative, 120
-bisection steps, 30 Jacobi sweeps) are diagnostics, not tunables.
+Iteration caps (120 bisection steps, 30 Jacobi sweeps) are diagnostics,
+not tunables; no solver takes a tolerance.
 """
 
 from __future__ import annotations
@@ -49,13 +49,16 @@ _PIVMIN = 1e-300
 _MU_GUARD = 1e-290
 _BISECT_CAP = 120
 _SWEEP_CAP = 30
-_SECTION_TOL = 1e-13
 _EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class PencilProblem:
-    """Generalized problem K y = lambda M y, K tridiagonal positive definite."""
+    """Generalized problem K y = lambda M y, K symmetric tridiagonal, M diagonal.
+
+    K must be positive definite when a mass is negative (solve_pencil
+    checks); with positive masses any symmetric K is allowed.
+    """
 
     K: TridiagonalSymmetric
     M: np.ndarray
@@ -74,12 +77,11 @@ class PencilProblem:
 class EigenvalueList:
     """Ascending eigenvalues with the solver's own accuracy statement.
 
-    residual_bound is relative: for bisection (sections and pencils) the
-    widest final bracket over max(|lo|, |hi|), at most eps for pencils,
-    whose brackets close to adjacent doubles; for Jacobi the largest
-    |a_ij| / (sqrt|a_ii| * sqrt|a_jj|) left. dropped counts eigenvalues
-    beyond 1/_MU_GUARD (for Green, reciprocals below _MU_GUARD), which are
-    excluded rather than reported.
+    residual_bound is relative: for bisection the widest final bracket
+    over max(|lo|, |hi|), at most eps, since brackets close to adjacent
+    doubles; for Jacobi the largest |a_ij| / (sqrt|a_ii| * sqrt|a_jj|)
+    left. dropped counts eigenvalues beyond 1/_MU_GUARD (for Green,
+    reciprocals below _MU_GUARD), which are excluded rather than reported.
     """
 
     values: np.ndarray
@@ -178,62 +180,6 @@ def _probe_grid(glo: float, ghi: float) -> np.ndarray:
     if glo < 0.0 < ghi:
         probes.append(0.0)
     return np.unique(np.asarray(probes))
-
-
-def _bisect(diag, off, mass, glo: float, ghi: float, idxs: np.ndarray, tol: float):
-    """Eigenvalues idxs (1-based, ascending) of T y = lambda*diag(mass) y in [glo, ghi].
-
-    Each bracket from the probe grid is cut into 2^b equal parts per step,
-    all brackets in one vectorised count (b grows as fewer brackets remain,
-    since a count's cost is mostly per row, not per probe), until it is
-    <= tol wide relative to its ends, or its ends are adjacent doubles
-    (tol = 0). Returns (values, widest final relative bracket width).
-    """
-    probes = _probe_grid(glo, ghi)
-    reached = np.maximum.accumulate(_counts_below(diag, off, mass, probes))
-    j = np.clip(np.searchsorted(reached, idxs), 1, len(probes) - 1)
-    los, his = probes[j - 1], probes[j]
-
-    active = np.ones(len(idxs), dtype=bool)
-    for _ in range(_BISECT_CAP):
-        act = np.flatnonzero(active)
-        if not len(act):
-            break
-        parts = 2 ** min(6, max(1, int(math.log2(4096 / len(act)))))
-        frac = np.arange(1, parts) / parts
-        lo, hi = los[act, None], his[act, None]
-        # lo*(1-f) + hi*f cannot overflow; f = 1/2 splits any 2-ulp bracket
-        pts = np.minimum(np.maximum(lo * (1.0 - frac) + hi * frac, lo), hi)
-        cnt = _counts_below(diag, off, mass, pts.ravel()).reshape(pts.shape)
-        # points before the first count >= idx; monotone even if roundoff is not
-        c = np.sum(~np.logical_or.accumulate(cnt >= idxs[act, None], axis=1), axis=1)
-        ends = np.hstack((lo, pts, hi))
-        rows = np.arange(len(act))
-        new_lo, new_hi = ends[rows, c], ends[rows, c + 1]
-        stuck = (new_lo == los[act]) & (new_hi == his[act])
-        los[act], his[act] = new_lo, new_hi
-        done = (new_hi - new_lo) <= tol * np.maximum(np.abs(new_lo), np.abs(new_hi))
-        active[act[done | stuck]] = False
-    if active.any():
-        raise NonConvergence(f"bisection cap {_BISECT_CAP} reached")
-    vals = 0.5 * (los + his)
-    vals = np.maximum.accumulate(vals)  # enforce monotone output against roundoff
-    scale = np.maximum(np.maximum(np.abs(los), np.abs(his)), _PIVMIN)
-    width = float(np.max((his - los) / scale)) if len(idxs) else 0.0
-    return vals, width
-
-
-def tridiag_eigs(T: TridiagonalSymmetric) -> EigenvalueList:
-    """All eigenvalues of T, ascending, by bisection.
-
-    The inertia core with unit mass; each eigenvalue is bracketed to
-    relative width <= _SECTION_TOL.
-    """
-    n = T.order
-    unit = np.ones(n)
-    glo, ghi = _gershgorin(T.diag, T.offdiag, unit)
-    vals, width = _bisect(T.diag, T.offdiag, unit, glo, ghi, np.arange(1, n + 1), _SECTION_TOL)
-    return EigenvalueList(vals, residual_bound=width, method="bisect")
 
 
 def _round_robin(n: int) -> np.ndarray:
@@ -353,17 +299,59 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
 
     The brackets come from Gershgorin on sign(M) |M|^(-1/2) K |M|^(-1/2),
     cut to |lambda| <= 1/_MU_GUARD; eigenvalues beyond that are counted in
-    dropped. Every bracket closes to adjacent doubles.
+    dropped. One count over the _probe_grid gives the kept index range, the
+    brackets and, when a mass is negative (only then does the count need K
+    positive definite), K's inertia from one extra probe at 0. Each bracket
+    is cut into 2^b equal parts per step, all in one vectorised count (b
+    grows as fewer brackets remain: a count costs mostly per row, not per
+    probe), until its ends are adjacent doubles.
     """
-    K, n = p.K, p.order
-    if _counts_below(K.diag, K.offdiag, np.ones(n), [0.0])[0]:
-        raise NotPositiveDefinite("stiffness matrix has a negative eigenvalue")
-    glo, ghi = np.clip(_gershgorin(K.diag, K.offdiag, p.M), -1.0 / _MU_GUARD, 1.0 / _MU_GUARD)
-    k1, k2 = _counts_below(K.diag, K.offdiag, p.M, [glo, ghi])
+    K, M = p.K, p.M
+    glo, ghi = np.clip(_gershgorin(K.diag, K.offdiag, M), -1.0 / _MU_GUARD, 1.0 / _MU_GUARD)
+    probes = _probe_grid(glo, ghi)
+    n_neg = int(np.sum(M < 0.0))
+    counts = _counts_below(K.diag, K.offdiag, M, np.append(probes, 0.0) if n_neg else probes)
+    if n_neg:
+        counts, at_zero = counts[:-1], counts[-1]
+        if at_zero != n_neg:
+            raise NotPositiveDefinite("stiffness matrix has a negative eigenvalue")
+    k1, k2 = int(counts[0]), int(counts[-1])
     if k2 <= k1:
         raise ZeroEigenvalue("every eigenvalue lies beyond the range guard")
-    vals, width = _bisect(K.diag, K.offdiag, p.M, glo, ghi, np.arange(k1 + 1, k2 + 1), 0.0)
-    return EigenvalueList(vals, residual_bound=width, method="bisect", dropped=int(n - (k2 - k1)))
+    idxs = np.arange(k1 + 1, k2 + 1)
+    j = np.clip(np.searchsorted(np.maximum.accumulate(counts), idxs), 1, len(probes) - 1)
+    los, his = probes[j - 1], probes[j]
+
+    active = np.ones(len(idxs), dtype=bool)
+    for _ in range(_BISECT_CAP):
+        act = np.flatnonzero(active)
+        if not len(act):
+            break
+        parts = 2 ** min(6, max(1, int(math.log2(4096 / len(act)))))
+        frac = np.arange(1, parts) / parts
+        lo, hi = los[act, None], his[act, None]
+        # lo*(1-f) + hi*f cannot overflow; f = 1/2 splits any 2-ulp bracket
+        pts = np.minimum(np.maximum(lo * (1.0 - frac) + hi * frac, lo), hi)
+        cnt = _counts_below(K.diag, K.offdiag, M, pts.ravel()).reshape(pts.shape)
+        # points before the first count >= idx; monotone even if roundoff is not
+        c = np.sum(~np.logical_or.accumulate(cnt >= idxs[act, None], axis=1), axis=1)
+        ends = np.hstack((lo, pts, hi))
+        rows = np.arange(len(act))
+        new_lo, new_hi = ends[rows, c], ends[rows, c + 1]
+        stuck = (new_lo == los[act]) & (new_hi == his[act])
+        los[act], his[act] = new_lo, new_hi
+        active[act[stuck]] = False
+    if active.any():
+        raise NonConvergence(f"bisection cap {_BISECT_CAP} reached")
+    vals = np.maximum.accumulate(0.5 * (los + his))  # monotone output against roundoff
+    scale = np.maximum(np.maximum(np.abs(los), np.abs(his)), _PIVMIN)
+    width = float(np.max((his - los) / scale))
+    return EigenvalueList(vals, residual_bound=width, method="bisect", dropped=int(p.order - (k2 - k1)))
+
+
+def tridiag_eigs(T: TridiagonalSymmetric) -> EigenvalueList:
+    """All eigenvalues of the symmetric T, ascending: solve_pencil with unit mass."""
+    return solve_pencil(PencilProblem(T, np.ones(T.order), T.order))
 
 
 def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
@@ -374,7 +362,11 @@ def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
     smallest relative to m_r, the twist of the mass-scaled problem: on a
     graded pencil the roundoff of gamma's large rows exceeds its true
     minimum. With x_r = 1 the two bidiagonal factors carry the solution
-    outward. The sign makes x_r positive.
+    outward. The sign makes x_r positive. Where a step multiplies a zero
+    component by an overflowed ratio (a near-zero pivot), the pencil row
+    through that zero gives the next one instead, x_(i+1) =
+    -(e_(i-1)/e_i) x_(i-1), as in LAPACK's dlar1v. A vector that still
+    overflows raises NonConvergence.
     """
     d, e, m = p.K.diag, p.K.offdiag, p.M
     n, k = p.order, len(lam)
@@ -385,13 +377,23 @@ def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
         r = np.argmin(np.abs(gamma) / np.abs(m)[:, None], axis=0)
     X = np.zeros((n, k))
     X[r, np.arange(k)] = 1.0
-    for i in range(n - 2, -1, -1):
-        c = i < r
-        X[i, c] = -(e[i] / fwd[i, c]) * X[i + 1, c]
-    for i in range(1, n):
-        c = i > r
-        X[i, c] = -(e[i - 1] / bwd[i, c]) * X[i - 1, c]
-    return X / np.linalg.norm(X, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 2, -1, -1):
+            c = i < r
+            X[i, c] = -(e[i] / fwd[i, c]) * X[i + 1, c]
+            z = np.isnan(X[i])  # an overflowed ratio times a zero; x_r = 1, so i + 2 <= r
+            if z.any():
+                X[i, z] = -(e[i + 1] / e[i]) * X[i + 2, z]
+        for i in range(1, n):
+            c = i > r
+            X[i, c] = -(e[i - 1] / bwd[i, c]) * X[i - 1, c]
+            z = np.isnan(X[i])
+            if z.any():
+                X[i, z] = -(e[i - 2] / e[i - 1]) * X[i - 2, z]
+        X /= np.linalg.norm(X, axis=0)
+    if not np.isfinite(X).all():
+        raise NonConvergence("twisted eigenvector overflowed")
+    return X
 
 
 def pencil_eigenpairs(p: PencilProblem) -> tuple[np.ndarray, np.ndarray, EigenvalueList]:

@@ -34,10 +34,6 @@ class DepthExceeded(ValidationError):
     """Evaluation point lies beyond the requested truncation depth."""
 
 
-class IndefiniteCase(ValidationError):
-    """Operation defined only for d > 0 was called with d < 0."""
-
-
 class WrongSign(ValidationError):
     """Operation defined only for d < 0 was called with d > 0."""
 

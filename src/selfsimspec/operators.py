@@ -6,7 +6,8 @@ renderings, all built here:
 * the N x N leading section of the infinite tridiagonal operator acting on
   slope partial sums, with diagonal (1+dq)*q^(k-1), superdiagonal -q^k and
   subdiagonal -d*q^(k-1) (1-based rows k), whose eigenvalues approximate
-  lambda*r;
+  lambda*r; symmetrized_section turns it into a positive definite T
+  against a signature S for either sign of d;
 * the stiffness/mass pencil of the piecewise-linear eigenfunctions on the
   geometric grid, exact for the truncated weight because those
   eigenfunctions are themselves piecewise linear;
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndefiniteCase, OutOfRange, RangeOverflow
+from .errors import OutOfRange, RangeOverflow
 from .selfsim import DiscreteWeight, SelfSimilarParams, _freeze, weight_truncation
 
 SECTION_KINDS = ("A", "B", "Binv", "ABinv", "sym", "K", "M", "green")
@@ -85,7 +86,8 @@ def section(params: SelfSimilarParams, N: int, kind: str) -> np.ndarray:
     """The N x N matrix of the named kind (one of SECTION_KINDS), read-only.
 
     A, B, Binv, ABinv are sections of the slope-to-sequence operators and
-    their composition, sym the symmetrized ABinv (d > 0 only); K, M and
+    their composition, sym the symmetric T of symmetrized_section (either
+    sign of d; for d < 0 ABinv is similar to S T, not T); K, M and
     green are the stiffness, mass and Green kernel matrices of the order-N
     truncation. Every kind raises RangeOverflow for N > params.max_order.
     """
@@ -123,20 +125,20 @@ def section(params: SelfSimilarParams, N: int, kind: str) -> np.ndarray:
 
 
 def symmetrized_section(params: SelfSimilarParams, N: int) -> TridiagonalSymmetric:
-    """Symmetric tridiagonal similar to the ABinv section, for d > 0.
+    """Symmetric T with ABinv u = mu u equivalent to T y = mu S y, S = diag(sign(d)^k).
 
-    The similarity is by the square root of the sequence weight
-    (1/d)^(k-1); it maps the off-pair (-q^k, -d*q^k) to the geometric mean
-    sqrt(d)*q^k and keeps the spectrum. For d < 0 the weight is indefinite
-    and no such symmetrization exists; use the pencil or Green route.
+    ABinv is symmetric in the sequence weight (1/d)^k (k 0-based), indefinite
+    for d < 0. Scaling by |d|^(k/2) turns the weight into S and ABinv into T:
+    diagonal (1+dq)|q|^k, off-diagonal sqrt|d|*|q|^(k+1) (a +-1 similarity
+    that keeps S drops its sign, sign(d)); for d > 0, S = I. T is positive
+    definite for either sign: as d*q = 1/a, its LDL^T pivots are
+    |q|^(k-1)*t_k (1-based), t_1 = 1 + 1/a, t_(k+1) = 1 + 1/a - 1/(a*t_k) > 1/a.
     """
-    if params.d < 0:
-        raise IndefiniteCase("symmetrization requires d > 0")
     _check_order(params, N)
-    d, q = params.d, params.q
+    d, q = params.d, abs(params.q)
     k = np.arange(N, dtype=float)
-    diag = (1.0 + d * q) * q ** k
-    off = np.sqrt(d) * q ** (k[:-1] + 1.0)
+    diag = (1.0 + d * params.q) * q ** k
+    off = np.sqrt(abs(d)) * q ** (k[:-1] + 1.0)
     return TridiagonalSymmetric(_freeze(diag), _freeze(off), N)
 
 
@@ -197,7 +199,7 @@ def _green_unweighted(weight: DiscreteWeight) -> np.ndarray:
     return np.minimum(U, U.T, out=U)
 
 
-def _materialized(params: SelfSimilarParams, s: SlopeSequence, depth: int) -> np.ndarray:
+def _materialized(s: SlopeSequence, depth: int) -> np.ndarray:
     """Slopes s_1..s_depth with the tail rule applied."""
     v = s.values
     if depth <= len(v):
@@ -228,6 +230,11 @@ def quadratic_form_sides(
     when the final slope continues), rhs = lam * r * sum_(k<=depth)
     d^(k-1) F_k^2 where F_k = sum_(j<=k) a^(j-1) s_j. For an eigenpair of
     the order-N pencil the two sides coincide with depth = N.
+
+    A constant tail encodes y(1) = 0 (see eigenfunction_slopes), so also
+    F_k = -sum_(j>k) a^(j-1) s_j; each F_k is summed from the end with the
+    smaller sum of |a^(j-1) s_j|, whose roundoff is the smaller. d^k
+    magnifies the roundoff of late F_k summed forward (a = 0.3, d = 1.7).
     """
     s = _as_slopes(s)
     if depth is None:
@@ -244,9 +251,15 @@ def quadratic_form_sides(
         lhs += float(v[-1]) * a ** (len(v) - 1) * float(v[-1]) / (1.0 - a)
     else:
         lhs = float(np.sum(wv * v * v))
-    sl = _materialized(params, s, depth)
-    w = a ** np.arange(depth, dtype=float)
-    F = np.cumsum(w * sl)
+    n = max(depth, len(v))
+    t = a ** np.arange(n, dtype=float) * _materialized(s, n)
+    F = np.cumsum(t)
+    if s.tail == "constant" and len(v):
+        # the terms beyond k, the tail past n in closed form, summed from the far end
+        back = np.append(float(v[-1]) * a ** n / (1.0 - a), t[:0:-1])
+        cheaper = np.cumsum(np.abs(t)) <= np.cumsum(np.abs(back))[::-1]
+        F = np.where(cheaper, F, -np.cumsum(back)[::-1])
+    F = F[:depth]
     rhs = float(lam * params.r * np.sum(d ** np.arange(depth, dtype=float) * F * F))
     return lhs, rhs
 
@@ -326,24 +339,3 @@ def extension_condition_trace(params: SelfSimilarParams, u, N: int) -> np.ndarra
     """
     u = np.asarray(u, dtype=float)[:N]
     return u / params.d ** np.arange(len(u), dtype=float)
-
-
-def adjoint_domain_residual(params: SelfSimilarParams, u, N: int) -> float:
-    """Partial sum sum_(k=2..N) (1/d^(k-1)) * (-d q^(k-1) u_(k-1) + (1+dq) q^(k-1) u_k + q^k u_(k+1))^2.
-
-    Formal adjoint-domain membership diagnostic; finite for sequences in
-    the domain, divergent in N for growing sequences. The middle and last
-    signs follow the printed row expression, which differs from the matrix
-    row's signs; this is a diagnostic, not a solver path.
-    """
-    u = np.asarray(u, dtype=float)
-    if len(u) < N + 1:
-        raise OutOfRange(f"u must have length >= N+1 = {N + 1}, got {len(u)}")
-    d, q = params.d, params.q
-    k = np.arange(2, N + 1, dtype=float)
-    term = (
-        -d * q ** (k - 1.0) * u[(k - 2).astype(int)]
-        + (1.0 + d * q) * q ** (k - 1.0) * u[(k - 1).astype(int)]
-        + q ** k * u[k.astype(int)]
-    )
-    return float(np.sum((1.0 / d) ** (k - 1.0) * term * term))

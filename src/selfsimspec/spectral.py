@@ -2,8 +2,9 @@
 
 Three formulations of the same eigenvalue problem:
 
-* "jacobi-section": bisection on the symmetrized slope-operator section,
-  eigenvalues divided by r (d > 0 only);
+* "jacobi-section": inertia-count bisection on the symmetrized
+  slope-operator section T against the masses r*S, S its signature
+  (see symmetrized_section), for either sign of d;
 * "fem-pencil": inertia-count bisection on the tridiagonal stiffness
   matrix against the diagonal mass matrix, O(N) per probe, for either
   sign of d;
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyWindow, IndefiniteCase, OutOfRange, WrongSign
-from .eigensolve import PencilProblem, pencil_eigenpairs, solve_green, solve_pencil, tridiag_eigs
+from .errors import EmptyWindow, OutOfRange, WrongSign
+from .eigensolve import PencilProblem, pencil_eigenpairs, solve_green, solve_pencil
 from .operators import (
     _check_order,
     _green_unweighted,
@@ -117,9 +118,19 @@ def _fem_pencil(w: DiscreteWeight) -> PencilProblem:
     return PencilProblem(stiffness_matrix(w), mass_matrix(w), w.order)
 
 
-def _max_rel_diff(a: np.ndarray, b: np.ndarray, upto: int | None = None) -> float:
+def _section_pencil(params: SelfSimilarParams, N: int) -> PencilProblem:
+    """The section as the pencil T y = lambda * r*S y (see symmetrized_section).
+
+    T against S has the section's eigenvalues, which approximate lambda*r;
+    putting r into the masses gives lambda itself, with no division.
+    """
+    signature = np.sign(params.d) ** np.arange(N, dtype=float)
+    return PencilProblem(symmetrized_section(params, N), params.r * signature, N)
+
+
+def _max_rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Worst |a_i - b_i| / max(|a_i|, |b_i|) over the leading indices both have."""
-    n = min(len(a), len(b)) if upto is None else min(len(a), len(b), upto)
+    n = min(len(a), len(b))
     if n == 0:
         return 0.0
     denom = np.maximum(np.abs(a[:n]), np.abs(b[:n]))
@@ -148,46 +159,44 @@ def compute_spectrum(
 
     count selects that many eigenvalues of smallest magnitude (all when
     None); values are stored ascending by signed value. The three
-    formulations agree to near machine precision; "jacobi-section" exists
-    for d > 0 only and divides the section eigenvalues by r. N beyond
+    formulations agree to near machine precision, jacobi-section from the
+    bottom of the spectrum up (see cross_validate). Eigenvalues beyond the
+    solvers' range guard are counted in dropped, and N beyond
     params.max_order raises RangeOverflow on every formulation.
     """
     if formulation not in FORMULATIONS:
         raise OutOfRange(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
-    if formulation == "jacobi-section" and params.d < 0:
-        raise IndefiniteCase("jacobi-section needs d > 0; use fem-pencil or green-kernel")
     _check_order(params, N)
     if formulation == "jacobi-section":
-        ev = tridiag_eigs(symmetrized_section(params, N))
-        values = np.sort(ev.values / params.r)
+        ev = solve_pencil(_section_pencil(params, N))
     else:
         w = weight_truncation(params, N)
         if formulation == "fem-pencil":
             ev = solve_pencil(_fem_pencil(w))
         else:
             ev = solve_green(_green_unweighted(w), w.masses)
-        values = ev.values
-    return SpectrumResult(params, N, formulation, _select(values, count), ev.dropped)
+    return SpectrumResult(params, N, formulation, _select(ev.values, count), ev.dropped)
 
 
 def cross_validate(params: SelfSimilarParams, N: int) -> CrossValidation:
     """Pairwise relative disagreement of the formulations at order N.
 
-    Always compares fem-pencil against green-kernel, which solve the same
-    truncated problem and must agree at every index. When d > 0 it also
-    compares jacobi-section against fem-pencil, but only over the first
-    N//2 indices: the finite section converges to the spectrum from the
-    bottom (the error at index k shrinks geometrically in N - k), so its
-    top indices never match any fixed truncation. Eigenvalues are aligned
-    by ascending order.
+    fem-pencil and green-kernel solve the same truncated problem and must
+    agree at every index, aligned by ascending order. jacobi-section is
+    compared with fem-pencil over the N//2 eigenvalues of smallest
+    magnitude only (both signs for d < 0): the finite section converges to
+    the spectrum from the smallest magnitudes up (the error at index k
+    shrinks geometrically in N - k), so its largest never match any fixed
+    truncation.
     """
     fem = compute_spectrum(params, N, "fem-pencil").values
     green = compute_spectrum(params, N, "green-kernel").values
-    diffs = {"fem-pencil:green-kernel": _max_rel_diff(fem, green)}
-    if params.d > 0:
-        jac = compute_spectrum(params, N, "jacobi-section").values
-        diffs["jacobi-section:fem-pencil"] = _max_rel_diff(jac, fem, upto=max(N // 2, 1))
-    return CrossValidation(N, min(len(fem), len(green)), diffs)
+    jac = compute_spectrum(params, N, "jacobi-section").values
+    half = min(max(N // 2, 1), len(jac), len(fem))
+    return CrossValidation(N, min(len(fem), len(green)), {
+        "fem-pencil:green-kernel": _max_rel_diff(fem, green),
+        "jacobi-section:fem-pencil": _max_rel_diff(_select(jac, half), _select(fem, half)),
+    })
 
 
 def _window_slice(n: int, window: tuple[int, int] | None, what: str) -> tuple[int, int]:

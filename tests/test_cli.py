@@ -65,7 +65,7 @@ class TestExitCodes:
         [
             (("weight", "--a", "1.5"), "a out of (0,1)"),
             (("weight", "--a", "0.5", "--d", "2"), "contraction"),
-            (("matrix", "--kind", "sym", "--d", "-0.5"), "symmetrization"),
+            (("matrix", "--kind", "sym", "--n", "0"), "order must be >= 1"),
             (("asymptotics", "--n", "10", "--window", "50:60"), "empty window"),
             (("asymptotics", "--n", "10", "--window", "5"), "window"),
             (("spectrum", "--n", "2", "--count", "5"), "count"),
@@ -182,6 +182,18 @@ class TestOutputContracts:
             spectra.append(json.loads(out)["eigenvalues"])
         for g, f in zip(*spectra):
             assert abs(g - f) <= 1e-12 * abs(f)
+
+    def test_section_beyond_the_range_guard_at_tiny_beta2_is_three(self):
+        """At beta2 = 1e-300, r = 5e-301 puts every eigenvalue above 5e300,
+        beyond the solver's range guard. Dividing the section eigenvalues by
+        r printed Infinity tokens (not JSON) and exited 0; with r in the
+        mass the solver reports the failure."""
+        code, out, err = run_cli(
+            "spectrum", "--formulation", "jacobi", "--beta2", "1e-300", "--n", "150"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("ZeroEigenvalue")
 
     def test_verify_with_edge_terms_beyond_range(self):
         """(q/d)^N passes 1e308 at this point: the symmetry check runs at the

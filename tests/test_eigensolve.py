@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import selfsimspec as ss
+from selfsimspec import eigensolve
 from selfsimspec.eigensolve import _jacobi
 
 from conftest import canonical, contraction_params
@@ -143,6 +144,39 @@ class TestSolvePencil:
             KY = K.dense() @ Y
             res = np.linalg.norm(KY - lam * (w.masses[:, None] * Y), axis=0)
             assert np.all(res <= 1e-12 * np.linalg.norm(KY, axis=0))
+
+    def test_tiny_mass_gives_finite_eigenvectors(self):
+        """At lambda = 1e10 the first pivot of K - lambda*M is zero and the
+        next overflows, so the factored step multiplied a zero component by
+        an infinite ratio (a NaN column); the pencil row gives (1, 0, -1)."""
+        K = _tridiag([1e10] * 3, [1e9] * 2)
+        M = np.array([1.0, 1e-300, 1.0])
+        lam, Y, info = ss.pencil_eigenpairs(ss.PencilProblem(K, M, 3))
+        assert info.dropped == 1 and lam[-1] == 1e10
+        assert np.all(np.isfinite(Y))
+        KY = K.dense() @ Y
+        res = np.linalg.norm(KY - lam * (M[:, None] * Y), axis=0)
+        assert np.all(res <= 1e-12 * np.linalg.norm(KY, axis=0))
+        np.testing.assert_allclose(Y[:, -1], [math.sqrt(0.5), 0.0, -math.sqrt(0.5)], atol=1e-15)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_probe_grid_is_counted_once(self, sign, monkeypatch):
+        """The kept index range, the brackets and (with negative masses) the
+        positive definite test all come from one count of the probe grid;
+        only that count probes the Gershgorin ends or zero."""
+        calls = []
+        counts_below = eigensolve._counts_below
+
+        def spy(diag, off, mass, probes):
+            calls.append(np.asarray(probes, dtype=float))
+            return counts_below(diag, off, mass, probes)
+
+        monkeypatch.setattr(eigensolve, "_counts_below", spy)
+        w = ss.weight_truncation(canonical(sign), 60)
+        K, M = ss.stiffness_matrix(w), ss.mass_matrix(w)
+        ss.solve_pencil(ss.PencilProblem(K, M, 60))
+        glo, ghi = eigensolve._gershgorin(K.diag, K.offdiag, M)
+        assert [i for i, xs in enumerate(calls) if np.isin([glo, ghi, 0.0], xs).any()] == [0]
 
     def test_underflowing_masses_are_dropped(self):
         K = _tridiag([1.0, 1.0], [0.0])

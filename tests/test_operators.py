@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import selfsimspec as ss
 from selfsimspec.operators import SECTION_KINDS
-from conftest import canonical, valid_params
+from conftest import canonical, contraction_params, valid_params
 
 P = canonical()
 
@@ -90,9 +90,28 @@ class TestSymmetrizedSection:
         want = np.sort(np.linalg.eigvalsh(sym))
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
-    def test_indefinite_refused(self):
-        with pytest.raises(ss.IndefiniteCase):
-            ss.symmetrized_section(canonical(-1.0), 4)
+    def test_indefinite_signature(self):
+        """For d < 0 the section is equivalent to T y = mu S y with the
+        signature S = diag((-1)^k): eigenvalues of ABinv and of S T agree,
+        and the sym kind is T for either sign."""
+        PN = canonical(-1.0)
+        T = ss.symmetrized_section(PN, 6)
+        np.testing.assert_array_equal(T.diag, 3.0 * 4.0 ** np.arange(6))
+        np.testing.assert_allclose(T.offdiag, math.sqrt(0.5) * 4.0 ** np.arange(1, 6), rtol=1e-15)
+        S = (-1.0) ** np.arange(6)
+        got = np.sort(np.linalg.eigvals(ss.section(PN, 6, "ABinv")).real)
+        want = np.sort(np.linalg.eigvals(S[:, None] * T.dense()).real)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+        np.testing.assert_array_equal(ss.section(PN, 6, "sym"), T.dense())
+
+    @given(contraction_params(edge=0.99), st.integers(1, 300))
+    @settings(deadline=None, max_examples=40)
+    def test_positive_definite_for_either_sign(self, p, N):
+        """The LDL^T pivots are |q|^(k-1)*t_k with t_k > 1/a, so T has no
+        negative eigenvalue anywhere in the domain, as the inertia core
+        needs when S has negative entries."""
+        N = min(N, p.max_order)
+        assert ss.sturm_count(ss.symmetrized_section(p, N), 0.0) == 0
 
 
 class TestWeightMatrices:
@@ -240,11 +259,3 @@ class TestDomainDiagnostics:
         u = P.d ** (np.arange(N) / 2.0) * z
         tr = np.abs(ss.extension_condition_trace(P, u, N))
         assert tr[-1] <= 1e-6 * tr[0]
-
-    def test_adjoint_residual_closed_value(self):
-        # u = e_2, N = 3: (1/d)*(1+dq)^2*q^2 + q^4 = 2*9*16 + 256 = 544
-        assert ss.adjoint_domain_residual(P, [0.0, 1.0, 0.0, 0.0], 3) == 544.0
-
-    def test_adjoint_residual_needs_one_extra_entry(self):
-        with pytest.raises(ss.OutOfRange):
-            ss.adjoint_domain_residual(P, [0.0, 1.0, 0.0], 3)

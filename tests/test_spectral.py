@@ -37,9 +37,12 @@ class TestComputeSpectrum:
             want = [-5.0 - math.sqrt(89.0), -5.0 + math.sqrt(89.0)]
             np.testing.assert_allclose(got, want, rtol=1e-13)
 
-    def test_jacobi_refuses_indefinite(self):
-        with pytest.raises(ss.IndefiniteCase):
-            ss.compute_spectrum(PN, 4, "jacobi-section")
+    def test_section_closed_form_indefinite(self):
+        """The order-2 section of d = -1/2: T = [[3, sqrt(8)], [sqrt(8), 12]]
+        against r*S = diag(1/2, -1/2) has eigenvalues -9 -+ sqrt(193)."""
+        got = ss.compute_spectrum(PN, 2, "jacobi-section").values
+        want = [-9.0 - math.sqrt(193.0), -9.0 + math.sqrt(193.0)]
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_unknown_formulation(self):
         with pytest.raises(ss.OutOfRange):
@@ -133,6 +136,31 @@ class TestInertiaCore:
         k = N // 2
         np.testing.assert_allclose(sec[:k], fem[:k], rtol=1e-12)
 
+    @given(contraction_params(edge=0.99), st.integers(2, 300))
+    @settings(deadline=None, max_examples=30)
+    def test_section_inertia_for_either_sign(self, p, N):
+        """Across the domain the section solves without a warning and has
+        as many negative eigenvalues as its masses r*S have negative
+        entries (all kept unless beyond the range guard)."""
+        N = min(N, p.max_order)
+        sec = ss.compute_spectrum(p, N, "jacobi-section")
+        assert len(sec.values) + sec.dropped == N
+        n_neg = int(np.sum(p.r * np.sign(p.d) ** np.arange(N) < 0.0))
+        if sec.dropped == 0:
+            assert int(np.sum(sec.values < 0.0)) == n_neg
+
+    def test_indefinite_section_reaches_max_order(self):
+        """For d < 0 the section's signature gives its inertia: as many
+        negative eigenvalues as r*S has negative entries; its N//2
+        smallest magnitudes match fem."""
+        N = PN.max_order
+        sec = ss.compute_spectrum(PN, N, "jacobi-section")
+        fem = ss.compute_spectrum(PN, N, "fem-pencil", count=N // 2).values
+        assert sec.dropped == 0 and len(sec.values) == N
+        assert int(np.sum(sec.values < 0.0)) == int(np.sum(PN.r * (-1.0) ** np.arange(N) < 0.0))
+        near = ss.compute_spectrum(PN, N, "jacobi-section", count=N // 2).values
+        np.testing.assert_allclose(near, fem, rtol=1e-12)
+
 
 class TestCrossValidate:
     def test_routes_agree_definite(self):
@@ -141,9 +169,9 @@ class TestCrossValidate:
         assert cv.max_rel_diff["jacobi-section:fem-pencil"] <= 1e-4
 
     def test_routes_agree_indefinite(self):
-        cv = ss.cross_validate(PN, 20)
+        cv = ss.cross_validate(PN, 30)
         assert cv.max_rel_diff["fem-pencil:green-kernel"] <= 1e-10
-        assert "jacobi-section:fem-pencil" not in cv.max_rel_diff
+        assert cv.max_rel_diff["jacobi-section:fem-pencil"] <= 1e-4
 
 
 class TestEstimateC:
@@ -260,6 +288,13 @@ class TestVerifySuite:
         code, out, _ = run_cli(
             "verify", "--a", "0.2", "--d", "-1.5", "--beta1", "0.3", "--n", "120"
         )
+        assert code == 0, out
+        assert "FAIL" not in out
+
+    def test_form_identity_with_growing_masses(self):
+        """d = 1.7: d^k magnifies the roundoff of F_k summed from the first
+        slope (max rel 1.0 here); summed from the cheaper end it holds."""
+        code, out, _ = run_cli("verify", "--a", "0.3", "--d", "1.7", "--n", "200")
         assert code == 0, out
         assert "FAIL" not in out
 
