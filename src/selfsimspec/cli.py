@@ -3,7 +3,7 @@
 Output is machine readable and byte deterministic: JSON (indent 2, keys in
 a fixed order, floats in shortest round-trip form) or CSV (header row,
 "." decimal separator). Exit codes: 0 success, 1 verification failure,
-2 validation error, 3 numerical failure.
+2 validation error or an unwritable --out path, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -227,8 +227,12 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

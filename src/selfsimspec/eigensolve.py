@@ -12,18 +12,21 @@ here therefore works with relative thresholds:
   signs of T - x*diag(m) count the eigenvalues below each probe;
   brackets are isolated on a binary probe grid first, so each spans at
   most a factor of 2 and the iteration cap holds across the full dynamic
-  range, then cut by multisection, many probes per vectorised count,
-  until their ends are adjacent doubles; no stop has an absolute term,
-  so eigenvalues near 1e-300 keep their digits;
+  range, then cut by multisection, many probes per vectorised count
+  (taken a block of rows at a time), until their ends are adjacent
+  doubles; no stop has an absolute term, so eigenvalues near 1e-300 keep
+  their digits;
 * twisted LDL^T factorizations for pencil eigenvectors, O(N) each;
 * the Green-kernel route, which shares no code with the core: the
   weighted Green matrix W G W = L L^T by LAPACK's Cholesky, then
   L^T sign(M) L by Jacobi, whose eigenvalues are the reciprocals. Each
   Jacobi step rotates a round of disjoint pairs with
   |a_pq| > rot_tol*sqrt|a_pp|*sqrt|a_qq| (rot_tol = max(1e-15, 4*n*eps))
-  until no entry of the matrix exceeds that; no product of two entries
-  is formed, and graded positive definite inputs keep high relative
-  accuracy.
+  until no entry of the matrix exceeds that; a sweep visits the pairs
+  (i, i + s) for s = 1..w, w the widest |p - q| above rot_tol, since a
+  graded matrix's relative couplings die off with |i - j|. No product of
+  two entries is formed, and graded positive definite inputs keep high
+  relative accuracy.
 
 Iteration caps (120 bisection steps, 30 Jacobi sweeps) are diagnostics,
 not tunables; no solver takes a tolerance.
@@ -46,6 +49,8 @@ from .errors import (
 from .operators import TridiagonalSymmetric
 
 _PIVMIN = 1e-300
+_BLOCK = 32  # rows per blocked count
+_PROBE_BUDGET = 1024  # multisection probes per count
 _MU_GUARD = 1e-290
 _BISECT_CAP = 120
 _SWEEP_CAP = 30
@@ -90,21 +95,24 @@ class EigenvalueList:
     dropped: int = 0
 
 
-def _pivots(diag, off, mass, xs):
+def _pivots(diag, off, mass, xs, prev=None):
     """LDL^T pivots of T - x*diag(mass), row by row, one entry per shift x.
 
     The update (d_i - x*m_i) - off*(off/piv) squares no entry, so it stays
     in range wherever T does; pivots below _PIVMIN in magnitude are moved
-    to +-_PIVMIN, keeping their sign, before they divide.
+    to +-_PIVMIN, keeping their sign, before they divide. With prev, the
+    pivots of the row before diag[0], the factorization continues from
+    there, and off[0] is the entry coupling that row to diag[0].
     """
-    piv = diag[0] - xs * mass[0]
+    if prev is None:
+        prev, off = np.inf, np.concatenate(([0.0], off))  # d_0 - x*m_0 - 0, unchanged
     for i in range(len(diag)):
-        if i:
-            piv = (diag[i] - xs * mass[i]) - off[i - 1] * (off[i - 1] / piv)
+        piv = (diag[i] - xs * mass[i]) - off[i] * (off[i] / prev)
         small = np.abs(piv) < _PIVMIN
         if small.any():
             piv = np.where(small, np.where(piv < 0.0, -_PIVMIN, _PIVMIN), piv)
         yield piv
+        prev = piv
 
 
 def _counts_below(diag, off, mass, probes) -> np.ndarray:
@@ -117,12 +125,29 @@ def _counts_below(diag, off, mass, probes) -> np.ndarray:
     negative eigenvalues, and the count below x is n_neg + nu(x) for x > 0
     and n_neg - nu(x) for x < 0. An overflowed x*m_i keeps its sign, which
     is all a count needs.
+
+    Rows go in blocks of _BLOCK: d - x*m for the block in one outer
+    product, then three in-place operations per row with no clamp. A
+    block holding a pivot below _PIVMIN or a NaN is redone by _pivots, so
+    every pivot, and every count, is the clamped recurrence's.
     """
     xs = np.asarray(probes, dtype=float)
     nu = np.zeros(xs.shape, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        for piv in _pivots(diag, off, mass, xs):
-            nu += piv < 0.0
+    off = np.concatenate(([0.0], off))  # off[i] couples row i to row i - 1
+    piv, tmp = np.inf, np.empty(xs.shape)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for b in range(0, len(diag), _BLOCK):
+            sl, prev = slice(b, b + _BLOCK), piv
+            rows = diag[sl, None] - np.multiply.outer(mass[sl], xs)
+            for e, row in zip(off[sl], rows):
+                np.divide(e, piv, out=tmp)
+                tmp *= e
+                row -= tmp
+                piv = row
+            if not (np.abs(rows) >= _PIVMIN).all():  # a tiny pivot or a NaN
+                rows = np.array(list(_pivots(diag[sl], off[sl], mass[sl], xs, prev)))
+                piv = rows[-1]
+            nu += np.count_nonzero(rows < 0.0, axis=0)
     n_neg = int(np.sum(mass < 0.0))
     if n_neg == 0:
         return nu
@@ -163,79 +188,76 @@ def _probe_grid(glo: float, ghi: float) -> np.ndarray:
     sign across the full dynamic range: every bracket taken from this grid
     spans a factor of at most 2 or ends at zero below |x| = 2e-300, so the
     multisection steps needed do not depend on the eigenvalue's magnitude.
+    Halving is exact above the floor; the halvings a side needs come from
+    log2 of its ends, since their ratio can overflow.
     """
-    probes = [glo, ghi]
-    if ghi > 0.0:
-        t = ghi
-        floor = max(glo, _PIVMIN)
-        while t / 2.0 > floor:
-            t /= 2.0
-            probes.append(t)
-    if glo < 0.0:
-        t = glo
-        ceil = min(ghi, -_PIVMIN)
-        while t / 2.0 < ceil:
-            t /= 2.0
-            probes.append(t)
-    if glo < 0.0 < ghi:
-        probes.append(0.0)
-    return np.unique(np.asarray(probes))
+    probes = [np.array([glo, ghi, 0.0] if glo < 0.0 < ghi else [glo, ghi])]
+    for t, bound in ((ghi, max(glo, _PIVMIN)), (glo, min(ghi, -_PIVMIN))):
+        if math.copysign(1.0, bound) * t > 0.0:  # ghi > 0, or glo < 0
+            k = max(0, int(math.log2(abs(t)) - math.log2(abs(bound))) + 2)
+            side = np.ldexp(t, -np.arange(1, k + 1))
+            probes.append(side[np.abs(side) > abs(bound)])
+    return np.unique(np.concatenate(probes))
 
 
-def _round_robin(n: int) -> np.ndarray:
-    """Pairs p < q of a round-robin tournament, shape (rounds, n // 2, 2).
+def _band_rounds(n: int, w: int) -> list[np.ndarray]:
+    """Rounds of disjoint pairs (i, i + s), s = 1..w, each an array of shape (pairs, 2).
 
-    Circle method, labelled so the first round pairs neighbours (0, 1), (2, 3), ...,
-    where a graded matrix has its largest relative off-diagonals. The rounds hold
-    disjoint pairs and meet every pair once; for odd n each leaves one index out.
+    Shift s gives two rounds: i in the even blocks of length s (0..s-1, 2s..3s-1, ...),
+    then i in the odd ones. Together they hold every pair with 1 <= q - p <= w once,
+    nearest neighbours first, where a graded matrix has its largest relative couplings.
     """
-    m = n + n % 2
-    seat = np.arange(m // 2, dtype=np.int32)
-    label = np.empty(m, dtype=np.int32)
-    label[seat], label[m - 1 - seat] = m - 2 - 2 * seat, m - 1 - 2 * seat
-    r = np.arange(m - 1, dtype=np.int32)[:, None]
-    ring = label[np.hstack((np.zeros_like(r), 1 + (r.T + r) % (m - 1)))]
-    pairs = np.sort(np.stack((ring[:, seat], ring[:, m - 1 - seat]), axis=2), axis=2)
-    return pairs[pairs[:, :, 1] < n].reshape(max(m - 1, 0), n // 2, 2)
+    rounds = []
+    for s in range(1, min(w, n - 1) + 1):
+        i = np.arange(n - s)
+        odd = (i // s) % 2 == 1
+        for p in (i[~odd], i[odd]):
+            if len(p):
+                rounds.append(np.stack((p, p + s), axis=1))
+    return rounds
 
 
-def _off_ratio(A: np.ndarray) -> float:
-    """max over i != j of |a_ij| / max(sqrt|a_ii| * sqrt|a_jj|, tiny), in one buffer; NaN if any."""
+def _ratios(A: np.ndarray) -> np.ndarray:
+    """|a_ij| / max(sqrt|a_ii| * sqrt|a_jj|, tiny) in one buffer, zero diagonal; NaN stays NaN."""
     root = np.sqrt(np.abs(np.diagonal(A)))
     buf = np.multiply.outer(root, root)
     np.maximum(buf, np.finfo(float).tiny, out=buf)  # 0/0 reads 0, never NaN
     np.abs(np.divide(A, buf, out=buf), out=buf)
     np.fill_diagonal(buf, 0.0)
-    return float(buf.max(initial=0.0))
+    return buf
 
 
 def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """Eigenvalues (ascending) of the exactly symmetric A, which is overwritten, and _off_ratio.
+    """Eigenvalues (ascending) of the exactly symmetric A, which is overwritten, and max _ratios.
 
-    Sweeps of the _round_robin rounds run until _off_ratio <= rot_tol, checked after each sweep.
+    Each sweep takes the _ratios of A once: their maximum is the stop test (<= rot_tol), and
+    the widest |p - q| among pairs above rot_tol is the band w whose _band_rounds the sweep
+    rotates, so every pair above rot_tol at the start of a sweep is visited in it.
     """
     n = A.shape[0]
     rot_tol = max(1e-15, 4 * n * _EPS)
-    rounds = _round_robin(n)
+    out = np.empty((n // 2, 2, n))  # every round's rotated rows
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = _off_ratio(A)
-        for _ in range(_SWEEP_CAP):
-            if rel <= rot_tol:
+        for sweep in range(_SWEEP_CAP + 1):
+            ratios = _ratios(A)
+            rel = float(ratios.max(initial=0.0))
+            if not rel > rot_tol or sweep == _SWEEP_CAP:  # converged, NaN, or the cap
                 break
-            for pq in rounds:
-                _rotate_round(A, pq, rot_tol)
-            rel = _off_ratio(A)
+            p, q = np.nonzero(ratios > rot_tol)  # symmetric, so max(q - p) = max |q - p|
+            for pq in _band_rounds(n, int(np.max(q - p))):
+                _rotate_round(A, pq, rot_tol, out)
     if not rel <= rot_tol:  # NaN included
         raise NonConvergence(f"Jacobi sweep cap {_SWEEP_CAP} reached")
     return np.sort(np.diagonal(A)), rel
 
 
-def _rotate_round(A: np.ndarray, pq: np.ndarray, rot_tol: float) -> None:
+def _rotate_round(A: np.ndarray, pq: np.ndarray, rot_tol: float, out: np.ndarray) -> None:
     """Rotate the pairs pq of a round whose ratio exceeds rot_tol; Rutishauser diagonal updates.
 
-    The ratio is computed as in _off_ratio, and A stays exactly symmetric (rows and columns
+    The ratio is computed as in _ratios, and A stays exactly symmetric (rows and columns
     come from the same rotated rows, their crossing block symmetrized), so the stop test
-    agrees with the rotation test entry for entry.
+    agrees with the rotation test entry for entry. The rotated rows go to out's leading
+    pairs, a buffer the caller keeps across rounds.
     """
     n, (p, q) = A.shape[0], pq.T
     ix = np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))  # a_pp, a_qq, a_pq, a_qp
@@ -251,7 +273,7 @@ def _rotate_round(A: np.ndarray, pq: np.ndarray, rot_tol: float) -> None:
     c = 1.0 / np.hypot(1.0, t)
     rot = np.stack((c, -t * c, t * c, c), axis=1).reshape(-1, 2, 2)
     pairs = pq.ravel()  # p0, q0, p1, q1, ...
-    rows = (rot @ A[pq]).reshape(len(pairs), -1)
+    rows = np.matmul(rot, A[pq], out=out[: len(pq)]).reshape(len(pairs), -1)
     block = (rot @ rows[:, pq].transpose(1, 2, 0)).reshape(len(pairs), -1)
     rows[:, pairs] = 0.5 * (block + block.T)
     A[pairs] = rows
@@ -327,7 +349,7 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
         act = np.flatnonzero(active)
         if not len(act):
             break
-        parts = 2 ** min(6, max(1, int(math.log2(4096 / len(act)))))
+        parts = 2 ** min(6, max(1, int(math.log2(_PROBE_BUDGET / len(act)))))
         frac = np.arange(1, parts) / parts
         lo, hi = los[act, None], his[act, None]
         # lo*(1-f) + hi*f cannot overflow; f = 1/2 splits any 2-ulp bracket

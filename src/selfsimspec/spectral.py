@@ -9,7 +9,7 @@ Three formulations of the same eigenvalue problem:
   matrix against the diagonal mass matrix, O(N) per probe, for either
   sign of d;
 * "green-kernel": the weighted Green kernel matrix, factored as L L^T,
-  with L^T sign(M) L diagonalized by round-robin Jacobi, O(N^3); its
+  with L^T sign(M) L diagonalized by band-ordered Jacobi, O(N^3); its
   eigenvalues are the reciprocals. It shares no solver code with the
   other two.
 

@@ -162,6 +162,17 @@ class TestOutputContracts:
         assert piped == ""
         assert target.read_text() == out
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_unwritable_out_is_two(self, command, tmp_path):
+        """Exit 1 means a verification failure; a path that cannot be
+        written is a usage error, reported on one stderr line."""
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(command, "--n", "5", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and str(target) in err
+        assert not target.exists()
+
     def test_verify_deterministic(self):
         a = run_cli("verify", "--n", "10")
         b = run_cli("verify", "--n", "10")

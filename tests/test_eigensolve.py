@@ -41,6 +41,90 @@ class TestSturmCount:
         assert all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
 
 
+def _careful_counts(diag, off, mass, xs):
+    """The count from _pivots row by row, the clamped recurrence the blocked count must match."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        nu = sum((piv < 0.0).astype(np.int64) for piv in eigensolve._pivots(diag, off, mass, xs))
+    n_neg = int(np.sum(mass < 0.0))
+    return nu if n_neg == 0 else np.where(xs < 0.0, n_neg - nu, n_neg + nu)
+
+
+class TestBlockedCount:
+    """_counts_below runs _BLOCK rows at a time with no clamp and redoes a block
+    through _pivots when it holds a tiny pivot or a NaN; every count must equal
+    the row-by-row clamped recurrence's exactly."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 100), st.booleans())
+    @example(0, 32, False)
+    @example(1, 33, True)
+    @example(2, 65, True)
+    @settings(deadline=None, max_examples=60)
+    def test_equals_the_row_by_row_count(self, seed, n, signed):
+        rng = np.random.default_rng(seed)
+        diag = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        off = rng.standard_normal(n - 1)
+        mass = rng.uniform(0.1, 2.0, n)
+        if signed:
+            mass[rng.random(n) < 0.4] *= -1.0
+        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        exact = np.linalg.eigvals(T / mass[:, None]).real  # probes where a pivot nears zero
+        xs = np.concatenate((exact, rng.standard_normal(40) * 10.0, [0.0, 1e308, -1e308]))
+        np.testing.assert_array_equal(
+            eigensolve._counts_below(diag, off, mass, xs), _careful_counts(diag, off, mass, xs)
+        )
+
+    @staticmethod
+    def _check(diag, off, mass, xs, row, want):
+        """The blocked count equals the careful one, whose pivot at row is want (NaN is NaN)."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            pivs = list(eigensolve._pivots(diag, off, mass, xs))
+        np.testing.assert_array_equal(pivs[row], want)
+        np.testing.assert_array_equal(
+            eigensolve._counts_below(diag, off, mass, xs), _careful_counts(diag, off, mass, xs)
+        )
+
+    def test_zero_pivots_across_a_block_boundary(self):
+        """Rows 31 and 32 (the last of a block, the first of the next) are
+        decoupled from their predecessors and equal the probe, so both
+        pivots are exactly zero and clamp to +_PIVMIN."""
+        n, b = 70, eigensolve._BLOCK
+        rng = np.random.default_rng(3)
+        diag, off, mass = rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, n - 1), np.ones(n)
+        diag[b - 1] = diag[b] = 3.0
+        off[b - 2] = off[b - 1] = 0.0
+        xs = np.array([3.0, 0.5, 2.5, -1.0])
+        self._check(diag, off, mass, xs, b - 1, [eigensolve._PIVMIN, 2.5, 0.5, 4.0])
+        self._check(diag, off, mass, xs, b, [eigensolve._PIVMIN, 2.5, 0.5, 4.0])
+
+    def test_subnormal_pivot(self):
+        """Row 2's pivot 1e-310 clamps to 1e-300, so row 3 reads 3 - 1 > 0;
+        unclamped it would read 3 - 1e10 and count one eigenvalue more."""
+        diag = np.array([1.0, 2.0, 1e-310, 3.0, 1.0])
+        off = np.array([0.5, 0.0, 1e-150, 0.25])
+        xs = np.array([0.0, -1e-300])
+        self._check(diag, off, np.ones(5), xs, 2, [eigensolve._PIVMIN, 1e-300 + 1e-310])
+
+    def test_overflowing_shift(self):
+        """x*m_i overflows to +-inf; the pivot keeps the sign a count needs."""
+        diag, off = np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0])
+        mass = np.array([1.0, 10.0, 1.0])
+        self._check(diag, off, mass, np.array([1e308, -1e308]), 1, [-np.inf, np.inf])
+
+    def test_nan_from_inf_minus_inf(self):
+        """Row 1's pivot is exactly zero at x = -2^1000 and clamps to 1e-300;
+        row 2's shift overflows to +inf and so does off^2/1e-300, giving NaN,
+        which the rest of the factorization carries."""
+        x = -(2.0**1000)
+        diag = np.array([2.0, 1.0, 1.0, 1.0])
+        off = np.array([0.0, 1e10, 1.0])
+        mass = np.array([1.0, -(2.0**-1000), 2.0**100, 1.0])
+        xs = np.array([x, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            pivs = list(eigensolve._pivots(diag, off, mass, xs))
+        assert pivs[1][0] == eigensolve._PIVMIN
+        self._check(diag, off, mass, xs, 2, [np.nan, pivs[2][1]])
+
+
 class TestTridiagEigs:
     def test_two_by_two_closed_form(self):
         got = ss.tridiag_eigs(ss.symmetrized_section(P, 2)).values
@@ -239,6 +323,32 @@ class TestDenseJacobi:
         S = A + A.T
         vals, _ = _jacobi(S.copy())
         assert float(np.sum(vals)) == pytest.approx(float(np.trace(S)), rel=1e-13)
+
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_band_rounds_hold_each_band_pair_once(self, n):
+        for w in range(1, n + 1):
+            rounds = eigensolve._band_rounds(n, w)
+            for pq in rounds:
+                assert len(np.unique(pq)) == pq.size  # disjoint
+            pairs = [tuple(pq) for r in rounds for pq in r.tolist()]
+            want = [(p, q) for p in range(n) for q in range(p + 1, min(n, p + w + 1))]
+            assert sorted(pairs) == want
+
+    def test_canonical_green_rotates_in_few_rounds(self, monkeypatch):
+        """At the canonical N = 300 every rotated pair has |p - q| <= 26, so
+        band sweeps need 130 rounds where a round-robin order took 1196."""
+        calls = []
+        rotate_round = eigensolve._rotate_round
+
+        def spy(*args):
+            calls.append(args[1])
+            return rotate_round(*args)
+
+        monkeypatch.setattr(eigensolve, "_rotate_round", spy)
+        w = ss.weight_truncation(P, 300)
+        ss.solve_green(ss.green_kernel_matrix(w) / w.masses, w.masses)
+        assert len(calls) <= 200
 
 
 class TestInverseIteration:

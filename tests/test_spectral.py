@@ -102,11 +102,20 @@ class TestInertiaCore:
 
     @pytest.mark.parametrize("N", [60, 150])
     def test_canonical_green_matches_pencil(self, N):
-        """A norm-wise stop ends round-robin sweeps early (2e-8 off here);
+        """A norm-wise stop ends Jacobi sweeps early (2e-8 off here);
         the relative stop keeps the Green route at pencil accuracy."""
         fem = ss.compute_spectrum(P, N, "fem-pencil").values
         green = ss.compute_spectrum(P, N, "green-kernel").values
         np.testing.assert_allclose(green, fem, rtol=1e-13)
+
+    def test_green_keeps_digits_at_a_weakly_graded_point(self):
+        """At (0.99, 0.99) the relative couplings die off slowly with |i - j|;
+        round-robin sweeps left 4.6e-13 against fem here, sweeps that go out
+        from the diagonal band by band 9e-14."""
+        p = ss.make_params(0.99, 0.99, 0.0, 1.0)
+        fem = ss.compute_spectrum(p, 150, "fem-pencil").values
+        green = ss.compute_spectrum(p, 150, "green-kernel").values
+        assert np.max(np.abs(green - fem) / np.abs(fem)) <= 2e-13
 
     @pytest.mark.parametrize("N", [10, 150])
     def test_pencil_keeps_eigenvalues_near_the_pivot_floor(self, N):
