@@ -24,9 +24,15 @@ here therefore works with relative thresholds:
   |a_pq| > rot_tol*sqrt|a_pp|*sqrt|a_qq| (rot_tol = max(1e-15, 4*n*eps))
   until no entry of the matrix exceeds that; a sweep visits the pairs
   (i, i + s) for s = 1..w, w the widest |p - q| above rot_tol, since a
-  graded matrix's relative couplings die off with |i - j|. No product of
-  two entries is formed, and graded positive definite inputs keep high
-  relative accuracy.
+  graded matrix's relative couplings die off with |i - j|. A round's
+  rows are strided views of the matrix, rotated in place; its columns
+  rotate as the rows of a transposed copy, one buffer per solve, and the
+  mean of that copy and its transpose symmetrizes where they cross. The
+  result is bit for bit that of gathering and scattering the pairs by
+  index. No product of two entries is formed, and graded positive
+  definite inputs keep high relative accuracy. The route holds 25 bytes
+  per matrix entry at once, so orders beyond _green_max_order (the
+  _GREEN_BUDGET of 1 GiB) are refused before anything is allocated.
 
 Iteration caps (120 bisection steps, 30 Jacobi sweeps) are diagnostics,
 not tunables; no solver takes a tolerance.
@@ -54,6 +60,11 @@ _PROBE_BUDGET = 1024  # multisection probes per count
 _MU_GUARD = 1e-290
 _BISECT_CAP = 120
 _SWEEP_CAP = 30
+# Bytes the Green route's n x n arrays may take at once: 25 per entry, for G, LAPACK's copy
+# of it and L in the Cholesky, then G's buffer, L and L^T S L, then in Jacobi A, its
+# transposed copy B, the ratios (float64 each) and the ratios' mask above rot_tol (bool).
+# 1 GiB allows order 6553.
+_GREEN_BUDGET = 2**30
 _EPS = np.finfo(float).eps
 
 
@@ -200,23 +211,6 @@ def _probe_grid(glo: float, ghi: float) -> np.ndarray:
     return np.unique(np.concatenate(probes))
 
 
-def _band_rounds(n: int, w: int) -> list[np.ndarray]:
-    """Rounds of disjoint pairs (i, i + s), s = 1..w, each an array of shape (pairs, 2).
-
-    Shift s gives two rounds: i in the even blocks of length s (0..s-1, 2s..3s-1, ...),
-    then i in the odd ones. Together they hold every pair with 1 <= q - p <= w once,
-    nearest neighbours first, where a graded matrix has its largest relative couplings.
-    """
-    rounds = []
-    for s in range(1, min(w, n - 1) + 1):
-        i = np.arange(n - s)
-        odd = (i // s) % 2 == 1
-        for p in (i[~odd], i[odd]):
-            if len(p):
-                rounds.append(np.stack((p, p + s), axis=1))
-    return rounds
-
-
 def _ratios(A: np.ndarray) -> np.ndarray:
     """|a_ij| / max(sqrt|a_ii| * sqrt|a_jj|, tiny) in one buffer, zero diagonal; NaN stays NaN."""
     root = np.sqrt(np.abs(np.diagonal(A)))
@@ -227,60 +221,104 @@ def _ratios(A: np.ndarray) -> np.ndarray:
     return buf
 
 
+def _band(big: np.ndarray) -> int:
+    """The widest |p - q| over the True entries of the symmetric big, 0 if there are none."""
+    n = big.shape[0]
+    last = n - 1 - np.argmax(big[:, ::-1], axis=1)  # each row's last True column
+    return int(np.max(last - np.arange(n), where=big.any(axis=1), initial=0))
+
+
 def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Eigenvalues (ascending) of the exactly symmetric A, which is overwritten, and max _ratios.
 
     Each sweep takes the _ratios of A once: their maximum is the stop test (<= rot_tol), and
-    the widest |p - q| among pairs above rot_tol is the band w whose _band_rounds the sweep
-    rotates, so every pair above rot_tol at the start of a sweep is visited in it.
+    the widest |p - q| among pairs above rot_tol is the band w. The sweep rotates the rounds
+    (s, o) for s = 1..w, o = 0 then s, so every pair above rot_tol at the start of a sweep
+    is visited in it, nearest neighbours first, where a graded matrix has its largest
+    relative couplings.
     """
     n = A.shape[0]
     rot_tol = max(1e-15, 4 * n * _EPS)
-    out = np.empty((n // 2, 2, n))  # every round's rotated rows
+    B = np.empty_like(A)  # each round's transposed copy of A
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(_SWEEP_CAP + 1):
             ratios = _ratios(A)
             rel = float(ratios.max(initial=0.0))
             if not rel > rot_tol or sweep == _SWEEP_CAP:  # converged, NaN, or the cap
                 break
-            p, q = np.nonzero(ratios > rot_tol)  # symmetric, so max(q - p) = max |q - p|
-            for pq in _band_rounds(n, int(np.max(q - p))):
-                _rotate_round(A, pq, rot_tol, out)
+            w = _band(ratios > rot_tol)
+            del ratios  # else it stays beside the next sweep's, one more n x n array
+            for s in range(1, min(w, n - 1) + 1):
+                for o in (0, s) if 2 * s < n else (0,):  # (s, s) is empty unless 2s < n
+                    _band_round(A, B, s, o, rot_tol)
     if not rel <= rot_tol:  # NaN included
         raise NonConvergence(f"Jacobi sweep cap {_SWEEP_CAP} reached")
     return np.sort(np.diagonal(A)), rel
 
 
-def _rotate_round(A: np.ndarray, pq: np.ndarray, rot_tol: float, out: np.ndarray) -> None:
-    """Rotate the pairs pq of a round whose ratio exceeds rot_tol; Rutishauser diagonal updates.
+def _band_round(A: np.ndarray, B: np.ndarray, s: int, o: int, rot_tol: float) -> None:
+    """Rotate the pairs (i, i + s), i in the length-s blocks at o, o + 2s, ..., above rot_tol.
 
-    The ratio is computed as in _ratios, and A stays exactly symmetric (rows and columns
-    come from the same rotated rows, their crossing block symmetrized), so the stop test
-    agrees with the rotation test entry for entry. The rotated rows go to out's leading
-    pairs, a buffer the caller keeps across rounds.
+    The pairs of a round are disjoint. A pair's ratio is computed as in _ratios; pairs at or
+    below rot_tol get t = 0, whose rotation leaves their entries as they are. Rows rotate
+    in place through strided views of A (see _turn_rows). Columns rotate as the rows of B,
+    A's transposed copy, and A = (B + B^T) / 2: on the block where rotated rows and columns
+    cross that is the symmetrization, and every other entry is already exactly symmetric and
+    reads back unchanged, so A stays exactly symmetric and the stop test agrees with the
+    rotation test entry for entry. Rutishauser updates the diagonal.
     """
-    n, (p, q) = A.shape[0], pq.T
-    ix = np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))  # a_pp, a_qq, a_pq, a_qp
+    n = A.shape[0]
+    blocks, rest = divmod(n - o, 2 * s)  # whole blocks, rows after them
+    tail = max(0, rest - s)  # pairs of the partial block
+    j = np.arange(blocks * s + tail)
+    p = o + j + s * (j // s)  # pair j lies in block j // s
+    ix = np.add.outer(np.array((0, s * (n + 1), s, s * n)), p * (n + 1))  # a_pp, a_qq, a_pq, a_qp
     flat = A.reshape(-1)
-    app, aqq, apq = x = flat[ix[:3]]
+    app, aqq, apq = flat[ix[:3]]
     big = np.abs(apq) / (np.sqrt(np.abs(app)) * np.sqrt(np.abs(aqq))) > rot_tol
     if not big.any():
         return
-    pq, ix, (app, aqq, apq) = pq[big], ix[:, big], x[:, big]
+    ix, app, aqq, apq = ix[:, big], app[big], aqq[big], apq[big]
     # t = tan of the angle that zeroes a_pq, the root of magnitude <= 1
     diff, twice = aqq - app, 2.0 * apq
-    t = twice / (diff + np.copysign(np.hypot(diff, twice), diff))
+    t = np.zeros(len(p))
+    t[big] = twice / (diff + np.copysign(np.hypot(diff, twice), diff))
     c = 1.0 / np.hypot(1.0, t)
-    rot = np.stack((c, -t * c, t * c, c), axis=1).reshape(-1, 2, 2)
-    pairs = pq.ravel()  # p0, q0, p1, q1, ...
-    rows = np.matmul(rot, A[pq], out=out[: len(pq)]).reshape(len(pairs), -1)
-    block = (rot @ rows[:, pq].transpose(1, 2, 0)).reshape(len(pairs), -1)
-    rows[:, pairs] = 0.5 * (block + block.T)
-    A[pairs] = rows
-    A[:, pairs] = rows.T
+    rot = np.array((c, -t * c, t * c, c)).T.reshape(-1, 2, 2)
+    _turn_rows(A, B, rot, s, o, blocks, tail)
+    np.copyto(B, A.T)
+    _turn_rows(B, A, rot, s, o, blocks, tail)
+    np.copyto(A, B.T)  # then A + B: a transposed copy is cheaper than a transposed add
+    A += B
+    A *= 0.5
+    t = t[big]
     flat[ix[0]] = app - t * apq
     flat[ix[1]] = aqq + t * apq
     flat[ix[2:]] = 0.0
+
+
+def _turn_rows(
+    X: np.ndarray, scratch: np.ndarray, rot: np.ndarray, s: int, o: int, blocks: int, tail: int
+) -> None:
+    """Rows p, p + s of X <- rot[k] @ (row p, row p + s) for the k-th pair p of a round, in place.
+
+    The whole blocks and the partial one are each count blocks of width pairs, a block every
+    2s rows from first: a strided view of X of shape (count, width, p or q, column), no copy.
+    The products pass through scratch, an array of X's size whose contents are not needed.
+    """
+    n, (row, col) = X.shape[1], X.strides
+    for first, count, width, r in ((o, blocks, s, rot[: blocks * s]),
+                                   (o + 2 * s * blocks, 1, tail, rot[blocks * s :])):
+        if count * width:
+            shape = (count, width, 2, n)
+            rows = np.ndarray(shape, X.dtype, X, first * row, (2 * s * row, row, s * row, col))
+            prod = scratch.reshape(-1)[: count * width * 2 * n].reshape(shape)
+            rows[...] = np.matmul(r.reshape(count, width, 2, 2), rows, out=prod)
+
+
+def _green_max_order() -> int:
+    """The largest order whose Green-route arrays, 25 bytes per entry, fit _GREEN_BUDGET."""
+    return math.isqrt(_GREEN_BUDGET // 25)
 
 
 def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:

@@ -15,7 +15,8 @@ Three formulations of the same eigenvalue problem:
 
 The solvers all live in eigensolve and return an EigenvalueList; this
 module builds their inputs. compute_spectrum produces the spectra and
-refuses N beyond the range guard with RangeOverflow on every formulation,
+refuses N beyond the range guard with RangeOverflow on every formulation
+(and green-kernel N beyond its memory budget with OutOfRange),
 cross_validate compares them pairwise, estimate_c and indefinite_report
 check the geometric laws lambda_k ~ c*q^k (single sign) and
 lambda_(+/-j) ~ +/- c*q^(2j) (alternating signs), and verify_suite bundles
@@ -30,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindow, OutOfRange, WrongSign
-from .eigensolve import PencilProblem, pencil_eigenpairs, solve_green, solve_pencil
+from .eigensolve import (
+    PencilProblem,
+    _green_max_order,
+    pencil_eigenpairs,
+    solve_green,
+    solve_pencil,
+)
 from .operators import (
     _check_order,
     _green_unweighted,
@@ -88,9 +95,10 @@ class IndefiniteReport:
 
     Branches are paired by magnitude: positive eigenvalues ascending,
     negative ones by increasing magnitude, pair index j starting at 0.
-    The laws are pos_j ~ c * q^(2j), |neg_j| ~ c * |q|^(2j+1), so the
-    in-branch ratios approach q^2 and the cross ratios |neg_j| / pos_j
-    approach |q|.
+    The branch of the sign of r holds the smallest magnitude and follows
+    c * q^(2j), the other c * |q|^(2j+1) (for r > 0: pos_j ~ c * q^(2j),
+    |neg_j| ~ c * |q|^(2j+1)), so the in-branch ratios approach q^2 and
+    the cross ratios, the other branch over r's, approach |q|.
     """
 
     positive: np.ndarray
@@ -162,11 +170,18 @@ def compute_spectrum(
     formulations agree to near machine precision, jacobi-section from the
     bottom of the spectrum up (see cross_validate). Eigenvalues beyond the
     solvers' range guard are counted in dropped, and N beyond
-    params.max_order raises RangeOverflow on every formulation.
+    params.max_order raises RangeOverflow on every formulation. green-kernel
+    holds several N x N arrays at once and refuses (OutOfRange), before
+    allocating any, an order whose arrays would exceed its memory budget.
     """
     if formulation not in FORMULATIONS:
         raise OutOfRange(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
     _check_order(params, N)
+    if formulation == "green-kernel" and N > (top := _green_max_order()):
+        raise OutOfRange(
+            f"green-kernel order {N} exceeds {top}, the largest whose n x n arrays "
+            f"fit the memory budget"
+        )
     if formulation == "jacobi-section":
         ev = solve_pencil(_section_pencil(params, N))
     else:
@@ -239,9 +254,9 @@ def indefinite_report(
 
     Pairs are indexed 1-based in the window argument; pair k holds the
     k-th smallest positive eigenvalue and the k-th smallest-magnitude
-    negative one. Branch constants come from pos ~ c*q^(2j) and
-    |neg| ~ c*|q|^(2j+1) with j = k-1; both branches share c, so the
-    cross ratio tends to |q|.
+    negative one, j = k-1. The branch of the sign of r, which holds the
+    smallest magnitude, follows c*q^(2j) and the other c*|q|^(2j+1); both
+    share c, so the cross ratio (other branch over r's branch) tends to |q|.
     """
     if spec.params.d > 0:
         raise WrongSign("single-signed spectrum: use estimate_c for d > 0")
@@ -257,9 +272,10 @@ def indefinite_report(
     j = np.arange(k1 - 1, k2, dtype=float)
     q2 = spec.params.q * spec.params.q
     absq = abs(spec.params.q)
-    c_plus = p / q2 ** j
-    c_minus = np.abs(ng) / absq ** (2.0 * j + 1.0)
-    cross = np.abs(ng) / p
+    even, odd = (p, np.abs(ng)) if spec.params.r > 0 else (np.abs(ng), p)
+    c_even, c_odd = even / q2 ** j, odd / absq ** (2.0 * j + 1.0)
+    c_plus, c_minus = (c_even, c_odd) if spec.params.r > 0 else (c_odd, c_even)
+    cross = odd / even
     return IndefiniteReport(
         positive=p,
         negative=ng,
@@ -309,8 +325,9 @@ def verify_suite(params: SelfSimilarParams, N: int = 20) -> list[tuple[str, bool
     seed. Covers the fixed-point property of the step function, formal
     symmetry of the section (relative to the size of the paired edge terms
     it cancels), the quadratic-form identity and boundary functional on
-    eigenfunctions, agreement of the pencil and Green formulations, and
-    the inertia count. Each spectrum is solved once.
+    eigenfunctions, agreement of the pencil and Green formulations (at the
+    largest order green-kernel allows, if N is beyond it), and the inertia
+    count. Each spectrum is solved once.
     """
     out = []
     rng = np.random.default_rng(1234)
@@ -347,8 +364,10 @@ def verify_suite(params: SelfSimilarParams, N: int = 20) -> list[tuple[str, bool
     out.append(("quadratic form identity", worst_form <= 1e-9, f"max rel {worst_form:.3e}"))
     out.append(("boundary functional", worst_bnd <= 1e-9, f"max rel {worst_bnd:.3e}"))
 
-    fg = _max_rel_diff(lam, compute_spectrum(params, M, "green-kernel").values)
-    out.append(("fem vs green spectra", fg <= 1e-10, f"max rel {fg:.3e} at order {M}"))
+    Mg = min(M, _green_max_order())
+    fem = lam if Mg == M else compute_spectrum(params, Mg, "fem-pencil").values
+    fg = _max_rel_diff(fem, compute_spectrum(params, Mg, "green-kernel").values)
+    out.append(("fem vs green spectra", fg <= 1e-10, f"max rel {fg:.3e} at order {Mg}"))
 
     neg_m = int(np.sum(w.masses < 0.0))
     neg_l = int(np.sum(lam < 0.0))

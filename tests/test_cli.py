@@ -74,6 +74,12 @@ class TestExitCodes:
                 ("verify", "--d", "-0.5", "--formulation", "jacobi"),
                 "unrecognized arguments: --formulation jacobi",
             ),
+            # within the range guard, beyond the Green route's memory budget
+            (
+                ("spectrum", "--a", "0.99", "--d", "0.99", "--n", "20000",
+                 "--formulation", "green"),
+                "order 20000 exceeds",
+            ),
         ],
     )
     def test_validation_failures_are_two(self, argv, needle):
@@ -153,6 +159,17 @@ class TestOutputContracts:
         for key in ("positive", "negative", "c_plus", "c_minus", "cross_ratios"):
             assert key in doc
         assert all(v < 0 for v in doc["negative"])
+
+    def test_asymptotics_indefinite_negative_jump(self):
+        """r < 0: the negative branch holds the smallest magnitude and takes
+        the q^(2j) law, so the figures read as at r > 0."""
+        code, out, _ = run_cli(
+            "asymptotics", "--d", "-0.5", "--beta2", "-1", "--n", "40", "--window", "3:5"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        for key in ("c_plus", "c_minus", "cross_ratios"):
+            assert all(abs(v - 4.0) <= 4e-9 for v in doc[key]), doc[key]
 
     def test_out_file_matches_stdout(self, tmp_path):
         _, out, _ = run_cli("spectrum", "--n", "4")

@@ -275,6 +275,42 @@ class TestSolvePencil:
             ss.solve_pencil(ss.PencilProblem(coupled, [1e-309, 1e-309], 2))
 
 
+def _round_pairs(n, s, o):
+    """The pairs (i, i + s) of the Jacobi round (s, o): i in the length-s
+    blocks starting at o, o + 2s, ..., with i + s < n; shape (pairs, 2)."""
+    i = np.arange(o, n - s)
+    p = i[(i - o) // s % 2 == 0]
+    return np.stack((p, p + s), axis=1)
+
+
+def _fancy_round(A, pq, rot_tol):
+    """The round as fancy-index gathers and scatters, the reference for the
+    strided-view round: rotate the pairs pq whose ratio exceeds rot_tol,
+    the rows and columns written from the same rotated rows and their
+    crossing block symmetrized; Rutishauser diagonal updates."""
+    n, (p, q) = A.shape[0], pq.T
+    ix = np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))  # a_pp, a_qq, a_pq, a_qp
+    flat = A.reshape(-1)
+    app, aqq, apq = x = flat[ix[:3]]
+    big = np.abs(apq) / (np.sqrt(np.abs(app)) * np.sqrt(np.abs(aqq))) > rot_tol
+    if not big.any():
+        return
+    pq, ix, (app, aqq, apq) = pq[big], ix[:, big], x[:, big]
+    diff, twice = aqq - app, 2.0 * apq
+    t = twice / (diff + np.copysign(np.hypot(diff, twice), diff))
+    c = 1.0 / np.hypot(1.0, t)
+    rot = np.stack((c, -t * c, t * c, c), axis=1).reshape(-1, 2, 2)
+    pairs = pq.ravel()  # p0, q0, p1, q1, ...
+    rows = np.matmul(rot, A[pq]).reshape(len(pairs), -1)
+    block = (rot @ rows[:, pq].transpose(1, 2, 0)).reshape(len(pairs), -1)
+    rows[:, pairs] = 0.5 * (block + block.T)
+    A[pairs] = rows
+    A[:, pairs] = rows.T
+    flat[ix[0]] = app - t * apq
+    flat[ix[1]] = aqq + t * apq
+    flat[ix[2:]] = 0.0
+
+
 class TestDenseJacobi:
     def test_two_by_two(self):
         vals, _ = _jacobi(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -326,26 +362,62 @@ class TestDenseJacobi:
 
 
     @pytest.mark.parametrize("n", range(1, 41))
-    def test_band_rounds_hold_each_band_pair_once(self, n):
-        for w in range(1, n + 1):
-            rounds = eigensolve._band_rounds(n, w)
-            for pq in rounds:
-                assert len(np.unique(pq)) == pq.size  # disjoint
-            pairs = [tuple(pq) for r in rounds for pq in r.tolist()]
-            want = [(p, q) for p in range(n) for q in range(p + 1, min(n, p + w + 1))]
-            assert sorted(pairs) == want
+    def test_band_rounds_hold_each_band_pair_once(self, n, monkeypatch):
+        """A sweep over a matrix whose widest coupling is |p - q| = w visits
+        rounds (s, o) whose pairs are disjoint and hold every pair with
+        1 <= q - p <= w once."""
+        rounds = []
+        monkeypatch.setattr(
+            eigensolve, "_band_round", lambda A, B, s, o, tol: rounds.append((s, o))
+        )
+        for w in range(1, n):
+            A = np.diag(np.arange(1.0, n + 1.0))
+            A[0, w] = A[w, 0] = 0.5
+            rounds.clear()
+            with pytest.raises(ss.NonConvergence):  # the recorder rotates nothing
+                _jacobi(A)
+            sweep = rounds[: len(rounds) // eigensolve._SWEEP_CAP]
+            assert rounds == sweep * eigensolve._SWEEP_CAP
+            pairs = []
+            for s, o in sweep:
+                pq = _round_pairs(n, s, o)
+                assert len(np.unique(pq)) == pq.size > 0  # disjoint, not empty
+                pairs += [tuple(x) for x in pq.tolist()]
+            band = [(p, q) for p in range(n) for q in range(p + 1, min(n, p + w + 1))]
+            assert sorted(pairs) == band
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_view_round_equals_the_fancy_index_round(self, n):
+        """Every round (s, o) of a random symmetric matrix, some of its pairs
+        below rot_tol, partial blocks and s > n/2 included: the strided-view
+        round gives exactly the fancy-index round's matrix."""
+        rng = np.random.default_rng(n)
+        rot_tol = max(1e-15, 4 * n * np.finfo(float).eps)
+        for s in range(1, n):
+            for o in (0, s):
+                X = rng.standard_normal((n, n)) * np.exp(rng.uniform(-5.0, 5.0, n))
+                A = X + X.T
+                pq = _round_pairs(n, s, o)
+                p, q = pq.T
+                low = rng.random(len(p)) < 0.3
+                tiny = 0.5 * rot_tol * np.sqrt(np.abs(A[p, p])) * np.sqrt(np.abs(A[q, q]))
+                A[p[low], q[low]] = A[q[low], p[low]] = tiny[low]
+                want, got = A.copy(), A.copy()
+                _fancy_round(want, pq, rot_tol)
+                eigensolve._band_round(got, np.empty_like(got), s, o, rot_tol)
+                np.testing.assert_array_equal(got, want)
 
     def test_canonical_green_rotates_in_few_rounds(self, monkeypatch):
         """At the canonical N = 300 every rotated pair has |p - q| <= 26, so
         band sweeps need 130 rounds where a round-robin order took 1196."""
         calls = []
-        rotate_round = eigensolve._rotate_round
+        band_round = eigensolve._band_round
 
-        def spy(*args):
-            calls.append(args[1])
-            return rotate_round(*args)
+        def spy(A, B, s, o, rot_tol):
+            calls.append((s, o))
+            return band_round(A, B, s, o, rot_tol)
 
-        monkeypatch.setattr(eigensolve, "_rotate_round", spy)
+        monkeypatch.setattr(eigensolve, "_band_round", spy)
         w = ss.weight_truncation(P, 300)
         ss.solve_green(ss.green_kernel_matrix(w) / w.masses, w.masses)
         assert len(calls) <= 200

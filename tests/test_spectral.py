@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfsimspec as ss
+from selfsimspec import eigensolve
 from conftest import canonical, contraction_params, run_cli
 
 P = canonical()
@@ -54,6 +56,17 @@ class TestComputeSpectrum:
         the pencil and Green routes, so every formulation refuses instead."""
         with pytest.raises(ss.RangeOverflow):
             ss.compute_spectrum(P, P.max_order + 1, formulation)
+
+    def test_green_refuses_an_order_beyond_its_memory_budget(self):
+        """(0.99, 0.99) allows order 33220, where one N x N array is 8.8 GB:
+        green-kernel refuses before allocating anything of that size."""
+        p = ss.make_params(0.99, 0.99, 0.0, 1.0)
+        assert p.max_order > 20000
+        start = time.perf_counter()
+        top = eigensolve._green_max_order()
+        with pytest.raises(ss.OutOfRange, match=f"order 20000 exceeds {top}"):
+            ss.compute_spectrum(p, 20000, "green-kernel")
+        assert time.perf_counter() - start < 1.0
 
     def test_count_selects_smallest_magnitude(self):
         spec = ss.compute_spectrum(PN, 10, "fem-pencil", count=2)
@@ -249,6 +262,16 @@ class TestIndefiniteReport:
         with pytest.raises(ss.EmptyWindow):
             ss.indefinite_report(allpos)
 
+    @pytest.mark.parametrize("beta2", [1.0, -1.0])
+    def test_branch_of_the_sign_of_r_follows_q_squared(self, beta2):
+        """For r < 0 the smallest magnitude is negative, so the negative
+        branch follows c*q^(2j): both signs of the jump read c = 4 on both
+        branches and cross ratios |q| = 4."""
+        spec = ss.compute_spectrum(ss.make_params(0.5, -0.5, 0.0, beta2), 40)
+        rep = ss.indefinite_report(spec, (3, 5))
+        for got in (rep.c_plus, rep.c_minus, rep.cross_ratios):
+            np.testing.assert_allclose(got, 4.0, rtol=1e-9)
+
     def test_window_slices_pairs(self):
         spec = ss.compute_spectrum(PN, 20, "fem-pencil")
         rep = ss.indefinite_report(spec, (3, 5))
@@ -306,6 +329,16 @@ class TestVerifySuite:
         code, out, _ = run_cli("verify", "--a", "0.3", "--d", "1.7", "--n", "200")
         assert code == 0, out
         assert "FAIL" not in out
+
+    def test_green_line_runs_at_the_largest_order_green_allows(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_GREEN_BUDGET", 25 * 12**2)
+        assert eigensolve._green_max_order() == 12
+        with pytest.raises(ss.OutOfRange):
+            ss.compute_spectrum(P, 13, "green-kernel")
+        results = {name: (ok, detail) for name, ok, detail in ss.verify_suite(P, N=20)}
+        ok, detail = results["fem vs green spectra"]
+        assert ok and detail.endswith("at order 12"), detail
+        assert all(ok for ok, _ in results.values()), results
 
     def test_deterministic(self):
         a = ss.verify_suite(P, N=10)
