@@ -15,8 +15,15 @@ here therefore works with relative thresholds:
   range, then cut by multisection, many probes per vectorised count
   (taken a block of rows at a time), until their ends are adjacent
   doubles; no stop has an absolute term, so eigenvalues near 1e-300 keep
-  their digits;
-* twisted LDL^T factorizations for pencil eigenvectors, O(N) each;
+  their digits. Once most brackets hold one eigenvalue each, narrow
+  against their neighbours, Rayleigh-quotient steps on the twisted
+  factorization (Newton steps on its twist element gamma_r) move their
+  estimates to roundoff in a few sweeps, and one count of a fan of
+  probes around each estimate closes most of them at once; the counts
+  stay the only judge, and a bracket the steps missed carries on with
+  multisection (Dhillon & Parlett, Linear Algebra Appl. 387, 2004);
+* twisted LDL^T factorizations, O(N) each, one helper for those steps
+  and for the pencil eigenvectors;
 * the Green-kernel route, which shares no code with the core: the
   weighted Green matrix W G W = L L^T by LAPACK's Cholesky, then
   L^T sign(M) L by Jacobi, whose eigenvalues are the reciprocals. Each
@@ -31,8 +38,9 @@ here therefore works with relative thresholds:
   result is bit for bit that of gathering and scattering the pairs by
   index. No product of two entries is formed, and graded positive
   definite inputs keep high relative accuracy. The route holds 25 bytes
-  per matrix entry at once, so orders beyond _green_max_order (the
-  _GREEN_BUDGET of 1 GiB) are refused before anything is allocated.
+  per matrix entry at once, so orders beyond _green_max_order (6553 for
+  the 1 GiB operators._DENSE_BUDGET) are refused before anything is
+  allocated; the eigenvectors likewise beyond _pairs_max_order.
 
 Iteration caps (120 bisection steps, 30 Jacobi sweeps) are diagnostics,
 not tunables; no solver takes a tolerance.
@@ -52,7 +60,7 @@ from .errors import (
     OutOfRange,
     ZeroEigenvalue,
 )
-from .operators import TridiagonalSymmetric
+from .operators import TridiagonalSymmetric, _dense_max_order
 
 _PIVMIN = 1e-300
 _BLOCK = 32  # rows per blocked count
@@ -60,12 +68,20 @@ _PROBE_BUDGET = 1024  # multisection probes per count
 _MU_GUARD = 1e-290
 _BISECT_CAP = 120
 _SWEEP_CAP = 30
-# Bytes the Green route's n x n arrays may take at once: 25 per entry, for G, LAPACK's copy
-# of it and L in the Cholesky, then G's buffer, L and L^T S L, then in Jacobi A, its
-# transposed copy B, the ratios (float64 each) and the ratios' mask above rot_tol (bool).
-# 1 GiB allows order 6553.
-_GREEN_BUDGET = 2**30
 _EPS = np.finfo(float).eps
+# The Rayleigh-quotient stage (see solve_pencil): a bracket qualifies when its width is at
+# most _RQ_NARROW of the gap to its neighbours; a batch runs once _RQ_SHARE of the open
+# brackets, and at least _RQ_MIN, qualify (a sweep costs per row, like a count, so serving
+# fewer brackets than that costs more than the multisection it saves); steps stop below
+# _RQ_STOP relative, at _RQ_CAP, or with fewer than _RQ_MIN still moving; the fan probes x
+# and x*(1 + _FAN); a sweep's kept pivots and sums take at most _TWIST_BUDGET bytes.
+_RQ_NARROW = 1.0 / 8.0
+_RQ_SHARE = 0.9
+_RQ_STOP = 1e-8
+_RQ_CAP = 8
+_RQ_MIN = 64
+_FAN = np.array([-64.0, -16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0]) * _EPS
+_TWIST_BUDGET = 2**26
 
 
 @dataclass(frozen=True)
@@ -98,12 +114,15 @@ class EigenvalueList:
     doubles; for Jacobi the largest |a_ij| / (sqrt|a_ii| * sqrt|a_jj|)
     left. dropped counts eigenvalues beyond 1/_MU_GUARD (for Green,
     reciprocals below _MU_GUARD), which are excluded rather than reported.
+    passes is the work done: inertia-count passes for bisection, the probe
+    grid's count included, and sweeps for Jacobi.
     """
 
     values: np.ndarray
     residual_bound: float
     method: str
     dropped: int = 0
+    passes: int = 0
 
 
 def _pivots(diag, off, mass, xs, prev=None):
@@ -126,6 +145,34 @@ def _pivots(diag, off, mass, xs, prev=None):
         prev = piv
 
 
+def _pivot_blocks(diag, off, mass, xs):
+    """The pivots of _pivots, bit for bit, _BLOCK rows at a time: yields (rows slice, pivots).
+
+    d - x*m for a block is one outer product, then three in-place operations
+    per row with no clamp. A block holding a pivot below _PIVMIN or a NaN is
+    redone by _pivots, so every pivot is the clamped recurrence's. Several
+    factorizations can run side by side (see _twist): diag and mass of shape
+    (n, c) and off of shape (n - 1, c, 1) give pivots of shape (c, len(xs))
+    per row. The caller sets np.errstate and must not write to the yielded
+    pivots.
+    """
+    diag, mass = diag[..., None], mass[..., None]
+    off = np.concatenate((np.zeros((1,) + off.shape[1:]), off))  # row i to row i - 1
+    piv, tmp = np.inf, np.empty(diag.shape[1:-1] + xs.shape)
+    for b in range(0, len(diag), _BLOCK):
+        sl, prev = slice(b, b + _BLOCK), piv
+        rows = diag[sl] - mass[sl] * xs
+        for e, row in zip(off[sl], rows):
+            np.divide(e, piv, out=tmp)
+            tmp *= e
+            row -= tmp
+            piv = row
+        if not (np.abs(rows) >= _PIVMIN).all():  # a tiny pivot or a NaN
+            rows = np.array(list(_pivots(diag[sl], off[sl], mass[sl], xs, prev)))
+            piv = rows[-1]
+        yield sl, rows
+
+
 def _counts_below(diag, off, mass, probes) -> np.ndarray:
     """Eigenvalues of T y = lambda*diag(mass) y strictly below each probe.
 
@@ -135,34 +182,97 @@ def _counts_below(diag, off, mass, probes) -> np.ndarray:
     eigenvalues between 0 and x, the n_neg negative masses give n_neg
     negative eigenvalues, and the count below x is n_neg + nu(x) for x > 0
     and n_neg - nu(x) for x < 0. An overflowed x*m_i keeps its sign, which
-    is all a count needs.
-
-    Rows go in blocks of _BLOCK: d - x*m for the block in one outer
-    product, then three in-place operations per row with no clamp. A
-    block holding a pivot below _PIVMIN or a NaN is redone by _pivots, so
-    every pivot, and every count, is the clamped recurrence's.
+    is all a count needs. The pivots come from _pivot_blocks.
     """
     xs = np.asarray(probes, dtype=float)
     nu = np.zeros(xs.shape, dtype=np.int64)
-    off = np.concatenate(([0.0], off))  # off[i] couples row i to row i - 1
-    piv, tmp = np.inf, np.empty(xs.shape)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for b in range(0, len(diag), _BLOCK):
-            sl, prev = slice(b, b + _BLOCK), piv
-            rows = diag[sl, None] - np.multiply.outer(mass[sl], xs)
-            for e, row in zip(off[sl], rows):
-                np.divide(e, piv, out=tmp)
-                tmp *= e
-                row -= tmp
-                piv = row
-            if not (np.abs(rows) >= _PIVMIN).all():  # a tiny pivot or a NaN
-                rows = np.array(list(_pivots(diag[sl], off[sl], mass[sl], xs, prev)))
-                piv = rows[-1]
+        for _, rows in _pivot_blocks(diag, off, mass, xs):
             nu += np.count_nonzero(rows < 0.0, axis=0)
     n_neg = int(np.sum(mass < 0.0))
     if n_neg == 0:
         return nu
     return np.where(xs < 0.0, n_neg - nu, n_neg + nu)
+
+
+def _factor_blocks(diag, off, mass, xs):
+    """_pivot_blocks with the sums s_i = m_i + (off_i / piv_(i-1))^2 s_(i-1), s_0 = m_0.
+
+    off_i couples row i to row i - 1. The factorization carries z_i = 1 up to
+    the rows before, z_(i-1) = -(off_i / piv_(i-1)) z_i, and s_i is the sum of
+    m_j z_j^2 over rows j <= i. A block's squared ratios take three array
+    operations; the recurrence then takes two per row. Yields (rows slice,
+    pivots, sums).
+    """
+    e = np.concatenate((np.zeros((1,) + off.shape[1:]), off))
+    prev, acc = np.full(diag.shape[1:] + xs.shape, np.inf), 0.0
+    for sl, piv in _pivot_blocks(diag, off, mass, xs):
+        sums = np.concatenate((prev[None], piv[:-1]))  # each row's previous pivot
+        np.divide(e[sl], sums, out=sums)
+        sums *= sums
+        for mi, s in zip(mass[sl, ..., None], sums):
+            s *= acc
+            s += mi
+            acc = s
+        prev = piv[-1]
+        yield sl, piv, sums
+
+
+def _twist(diag, off, mass, xs, fwd=None, bwd=None):
+    """Twisted LDL^T factorizations of T - x*diag(mass), one per shift x, O(n) each.
+
+    Forward and backward pivots D+ and D- (of _pivot_blocks, from the first
+    row and from the last) meet at the twist index r where gamma_r = D+_r +
+    D-_r - (T - x*diag(mass))_rr is smallest relative to m_r, the twist of
+    the mass-scaled problem: on a graded pencil the roundoff of gamma's large
+    rows exceeds its true minimum. The z with z_r = 1 that the two bidiagonal
+    factors carry outward solves (T - x*diag(mass)) z = gamma_r e_r, so its
+    Rayleigh quotient is x + gamma_r / (z^T diag(mass) z), and z^T diag(mass) z
+    is the forward and the backward sums of _factor_blocks at r less m_r: no
+    vector is formed.
+
+    One sweep runs both factorizations side by side, step s taking row s
+    forward and row n-1-s backward. Steps s < n/2 are kept, the pivots and
+    sums of two n/2 x len(xs) halves each; step n-1-s then meets step s on
+    both of its rows, a block at a time, with a running argmin of |gamma_i| /
+    |m_i| whose ties and NaN go to the lowest row, as np.argmin's do. D+ and
+    D- are written to fwd and bwd when they are given. Returns (r, gamma_r,
+    z^T diag(mass) z).
+    """
+    n, k = len(diag), len(xs)
+    half, cols = (n + 1) // 2, np.arange(k)
+    kept_piv, kept_sum = np.empty((half, 2, k)), np.empty((half, 2, k))
+    best, r = np.full(k, np.inf), np.full(k, n)
+    gamma, zmz = np.zeros(k), np.ones(k)
+    d_2, e_2, m_2 = (np.stack((v, v[::-1]), axis=1) for v in (diag, off, mass))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for sl, piv, sums in _factor_blocks(d_2, e_2[..., None], m_2, xs):
+            b, e = sl.start, sl.start + len(piv)
+            if fwd is not None:
+                fwd[b:e], bwd[n - e : n - b] = piv[:, 0], piv[::-1, 1]
+            top = max(b, min(e, half))
+            kept_piv[b:top], kept_sum[b:top] = piv[: top - b], sums[: top - b]
+            lo = max(b, n // 2)  # steps from lo on meet step n-1-s, kept: rows s and n-1-s
+            if lo >= e:
+                continue
+            new, old = slice(lo - b, e - b), slice(n - e, n - lo)
+            for first, d_p, d_m, s_p, s_m in (  # both runs of rows, ascending
+                (n - e, kept_piv[old, 0], piv[new, 1][::-1], kept_sum[old, 0], sums[new, 1][::-1]),
+                (lo, piv[new, 0], kept_piv[old, 1][::-1], sums[new, 0], kept_sum[old, 1][::-1]),
+            ):
+                rows = slice(first, first + len(d_p))
+                g = d_p + d_m - (diag[rows, None] - mass[rows, None] * xs)
+                ratio = np.abs(g) / np.abs(mass[rows])[:, None]
+                j = np.argmin(ratio, axis=0)
+                val, row = ratio[j, cols], first + j
+                lower = row < r
+                take = np.where(np.isnan(best), np.isnan(val) & lower,
+                                np.isnan(val) | (val < best) | ((val == best) & lower))
+                best = np.where(take, val, best)
+                r = np.where(take, row, r)
+                gamma = np.where(take, g[j, cols], gamma)
+                zmz = np.where(take, s_p[j, cols] + s_m[j, cols] - mass[row], zmz)
+    return r, gamma, zmz
 
 
 def sturm_count(T: TridiagonalSymmetric, x: float) -> int:
@@ -228,8 +338,8 @@ def _band(big: np.ndarray) -> int:
     return int(np.max(last - np.arange(n), where=big.any(axis=1), initial=0))
 
 
-def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """Eigenvalues (ascending) of the exactly symmetric A, which is overwritten, and max _ratios.
+def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Eigenvalues (ascending) of the exactly symmetric A, overwritten; max _ratios; sweeps.
 
     Each sweep takes the _ratios of A once: their maximum is the stop test (<= rot_tol), and
     the widest |p - q| among pairs above rot_tol is the band w. The sweep rotates the rounds
@@ -253,7 +363,7 @@ def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float]:
                     _band_round(A, B, s, o, rot_tol)
     if not rel <= rot_tol:  # NaN included
         raise NonConvergence(f"Jacobi sweep cap {_SWEEP_CAP} reached")
-    return np.sort(np.diagonal(A)), rel
+    return np.sort(np.diagonal(A)), rel, sweep
 
 
 def _band_round(A: np.ndarray, B: np.ndarray, s: int, o: int, rot_tol: float) -> None:
@@ -317,8 +427,23 @@ def _turn_rows(
 
 
 def _green_max_order() -> int:
-    """The largest order whose Green-route arrays, 25 bytes per entry, fit _GREEN_BUDGET."""
-    return math.isqrt(_GREEN_BUDGET // 25)
+    """The largest order whose Green-route arrays fit the dense budget (6553 for 1 GiB).
+
+    They take 25 bytes per entry at once: G, LAPACK's copy of it and L in
+    the Cholesky, then G's buffer, L and L^T S L, then in Jacobi A, its
+    transposed copy B, the ratios (float64 each) and the ratios' mask above
+    rot_tol (bool).
+    """
+    return _dense_max_order(25)
+
+
+def _pairs_max_order() -> int:
+    """The largest order whose pencil_eigenpairs arrays fit the dense budget (5792 for 1 GiB).
+
+    They take 32 bytes per entry at once: D+ and D- of _twist and the two
+    halves' pivots and sums it keeps, then D+, D- and the vectors.
+    """
+    return _dense_max_order(32)
 
 
 def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
@@ -346,12 +471,59 @@ def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
     np.add(T, T.T, out=H)
     H *= 0.5
     del L, T
-    mu, rel = _jacobi(H)
+    mu, rel, sweeps = _jacobi(H)
     keep = np.abs(mu) >= _MU_GUARD
     if not keep.any():
         raise ZeroEigenvalue("all reciprocal eigenvalues below the underflow guard")
     values = np.sort(1.0 / mu[keep])
-    return EigenvalueList(values, residual_bound=rel, method="jacobi", dropped=int(np.sum(~keep)))
+    return EigenvalueList(
+        values, residual_bound=rel, method="jacobi", dropped=int(np.sum(~keep)), passes=sweeps
+    )
+
+
+def _isolated(los, his) -> np.ndarray:
+    """Brackets at most _RQ_NARROW as wide as the gap to the nearer neighbouring bracket.
+
+    Such a bracket holds exactly one eigenvalue: its neighbours' brackets
+    hold eigenvalues idx - 1 and idx + 1 and lie apart from it, so the counts
+    at its ends are idx - 1 and idx.
+    """
+    gaps = los[1:] - his[:-1]
+    gap = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
+    return his - los <= _RQ_NARROW * gap
+
+
+def _rayleigh(K: TridiagonalSymmetric, M: np.ndarray, los, his) -> np.ndarray:
+    """Rayleigh-quotient corrections from the bracket midpoints, NaN where they miss.
+
+    Each step moves x to the Rayleigh quotient of the twisted vector at x
+    (see _twist), a Newton step on gamma_r. Steps repeat for the brackets
+    still moving until a step is below _RQ_STOP relative (the convergence
+    is quadratic, so the next would be below roundoff), the cap of _RQ_CAP
+    steps, or fewer than _RQ_MIN still move; those keep their last x. A step
+    that leaves its bracket leaves NaN. The factorizations take at most
+    _TWIST_BUDGET bytes at once, so many brackets go in chunks.
+    """
+    x = 0.5 * los + 0.5 * his
+    est = np.full(len(x), np.nan)
+    live = np.arange(len(x))
+    chunk = max(1, _TWIST_BUDGET // (16 * K.order))
+    for _ in range(_RQ_CAP):
+        step = np.empty(len(live))
+        for s in range(0, len(live), chunk):
+            _, gamma, zmz = _twist(K.diag, K.offdiag, M, x[live[s : s + chunk]])
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                step[s : s + chunk] = gamma / zmz
+        new = x[live] + step
+        inside = (new > los[live]) & (new < his[live])  # False for NaN
+        done = inside & (np.abs(step) <= _RQ_STOP * np.abs(new))
+        est[live[done]] = new[done]
+        x[live] = new
+        live = live[inside & ~done]
+        if len(live) < _RQ_MIN:
+            break
+    est[live] = x[live]
+    return est
 
 
 def solve_pencil(p: PencilProblem) -> EigenvalueList:
@@ -365,6 +537,18 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
     is cut into 2^b equal parts per step, all in one vectorised count (b
     grows as fewer brackets remain: a count costs mostly per row, not per
     probe), until its ends are adjacent doubles.
+
+    Twisted Rayleigh-quotient stage: once at least _RQ_SHARE (and
+    _RQ_MIN) of the open brackets no correction has served are _isolated
+    (one eigenvalue each, narrow against their neighbours), those brackets
+    get _rayleigh's corrections, all in one batch, and the same pass's count
+    probes a fan around each estimate x: x itself and x*(1 -+ {1, 4, 16,
+    64}*eps). The counts stay the only judge. The fan's counts cut the
+    bracket at the change of count nearest x (where roundoff makes the count
+    non-monotone over a few ulps, the one multisection would find can lie
+    elsewhere in that range), so an estimate within an ulp closes its
+    bracket at once; a bracket the corrections missed carries on with
+    multisection. Every bracket still ends at adjacent doubles.
     """
     K, M = p.K, p.M
     glo, ghi = np.clip(_gershgorin(K.diag, K.offdiag, M), -1.0 / _MU_GUARD, 1.0 / _MU_GUARD)
@@ -383,30 +567,60 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
     los, his = probes[j - 1], probes[j]
 
     active = np.ones(len(idxs), dtype=bool)
+    fresh = np.ones(len(idxs), dtype=bool)  # no correction has served the bracket
+    passes = 1
     for _ in range(_BISECT_CAP):
         act = np.flatnonzero(active)
         if not len(act):
             break
-        parts = 2 ** min(6, max(1, int(math.log2(_PROBE_BUDGET / len(act)))))
+        fan = act[:0]  # brackets whose estimate this count fans out around
+        if (n_open := np.count_nonzero(fresh[act])) >= _RQ_MIN:
+            ready = np.flatnonzero(fresh & active & _isolated(los, his))
+            if len(ready) >= max(_RQ_MIN, _RQ_SHARE * n_open):
+                fresh[ready] = False
+                est = _rayleigh(K, M, los[ready], his[ready])
+                fan, est = ready[np.isfinite(est)], est[np.isfinite(est), None]
+                act = act[~np.isin(act, fan)]
+        parts = 2 ** min(6, max(1, int(math.log2(_PROBE_BUDGET / max(len(act), 1)))))
         frac = np.arange(1, parts) / parts
         lo, hi = los[act, None], his[act, None]
-        # lo*(1-f) + hi*f cannot overflow; f = 1/2 splits any 2-ulp bracket
-        pts = np.minimum(np.maximum(lo * (1.0 - frac) + hi * frac, lo), hi)
-        cnt = _counts_below(K.diag, K.offdiag, M, pts.ravel()).reshape(pts.shape)
+        # one rounding after exact steps keeps the points monotone in f, so f = 1/2 splits any
+        # 2-ulp bracket (lo*(1-f) + hi*f rounds twice and can put hi before the midpoint);
+        # hi - lo <= 2/_MU_GUARD cannot overflow
+        pts = np.minimum(np.maximum(lo + (hi - lo) * frac, lo), hi)
+        probes = pts.ravel()
+        if len(fan):
+            fan_lo, fan_hi = los[fan, None], his[fan, None]
+            fan_pts = np.minimum(np.maximum(est + np.abs(est) * _FAN, fan_lo), fan_hi)
+            probes = np.concatenate((probes, fan_pts.ravel()))
+        cnt = _counts_below(K.diag, K.offdiag, M, probes)
+        passes += 1
         # points before the first count >= idx; monotone even if roundoff is not
-        c = np.sum(~np.logical_or.accumulate(cnt >= idxs[act, None], axis=1), axis=1)
+        up = cnt[: pts.size].reshape(pts.shape) >= idxs[act, None]
+        c = np.sum(~np.logical_or.accumulate(up, axis=1), axis=1)
         ends = np.hstack((lo, pts, hi))
-        rows = np.arange(len(act))
-        new_lo, new_hi = ends[rows, c], ends[rows, c + 1]
+        new_lo, new_hi = ends[np.arange(len(act)), c], ends[np.arange(len(act)), c + 1]
         stuck = (new_lo == los[act]) & (new_hi == his[act])
         los[act], his[act] = new_lo, new_hi
+        if len(fan):  # the change of count nearest the estimate, column m of the ends
+            m = 1 + len(_FAN) // 2
+            up = cnt[pts.size :].reshape(fan_pts.shape) >= idxs[fan, None]
+            up = np.hstack((np.zeros_like(fan_lo, bool), up, np.ones_like(fan_hi, bool)))
+            after = m - 1 + np.argmax(up[:, m:], axis=1)  # just before the first >= idx from m
+            before = m - 1 - np.argmax(~up[:, m - 1 :: -1], axis=1)  # the last < idx before m
+            c = np.where(up[:, m], before, after)
+            ends = np.hstack((fan_lo, fan_pts, fan_hi))
+            los[fan], his[fan] = ends[np.arange(len(fan)), c], ends[np.arange(len(fan)), c + 1]
         active[act[stuck]] = False
+        active &= np.nextafter(los, his) != his  # adjacent doubles
     if active.any():
         raise NonConvergence(f"bisection cap {_BISECT_CAP} reached")
     vals = np.maximum.accumulate(0.5 * (los + his))  # monotone output against roundoff
     scale = np.maximum(np.maximum(np.abs(los), np.abs(his)), _PIVMIN)
     width = float(np.max((his - los) / scale))
-    return EigenvalueList(vals, residual_bound=width, method="bisect", dropped=int(p.order - (k2 - k1)))
+    return EigenvalueList(
+        vals, residual_bound=width, method="bisect", dropped=int(p.order - (k2 - k1)), passes=passes
+    )
 
 
 def tridiag_eigs(T: TridiagonalSymmetric) -> EigenvalueList:
@@ -417,24 +631,17 @@ def tridiag_eigs(T: TridiagonalSymmetric) -> EigenvalueList:
 def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
     """Unit null vectors of K - lambda*M, one column per eigenvalue, O(N) each.
 
-    Forward and backward LDL^T pivots D+ and D- of K - lambda*M meet at
-    the twist index r where gamma_r = D+_r + D-_r - (K - lambda*M)_rr is
-    smallest relative to m_r, the twist of the mass-scaled problem: on a
-    graded pencil the roundoff of gamma's large rows exceeds its true
-    minimum. With x_r = 1 the two bidiagonal factors carry the solution
-    outward. The sign makes x_r positive. Where a step multiplies a zero
-    component by an overflowed ratio (a near-zero pivot), the pencil row
-    through that zero gives the next one instead, x_(i+1) =
-    -(e_(i-1)/e_i) x_(i-1), as in LAPACK's dlar1v. A vector that still
-    overflows raises NonConvergence.
+    The twisted factorization of _twist at each lambda gives the twist index
+    r; with x_r = 1 the two bidiagonal factors carry the solution outward.
+    The sign makes x_r positive. Where a step multiplies a zero component by
+    an overflowed ratio (a near-zero pivot), the pencil row through that zero
+    gives the next one instead, x_(i+1) = -(e_(i-1)/e_i) x_(i-1), as in
+    LAPACK's dlar1v. A vector that still overflows raises NonConvergence.
     """
     d, e, m = p.K.diag, p.K.offdiag, p.M
     n, k = p.order, len(lam)
-    with np.errstate(over="ignore"):
-        fwd = np.array(list(_pivots(d, e, m, lam)))
-        bwd = np.array(list(_pivots(d[::-1], e[::-1], m[::-1], lam)))[::-1]
-        gamma = fwd + bwd - (d[:, None] - m[:, None] * lam)
-        r = np.argmin(np.abs(gamma) / np.abs(m)[:, None], axis=0)
+    fwd, bwd = np.empty((n, k)), np.empty((n, k))
+    r, _, _ = _twist(d, e, m, lam, fwd, bwd)
     X = np.zeros((n, k))
     X[r, np.arange(k)] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -462,7 +669,14 @@ def pencil_eigenpairs(p: PencilProblem) -> tuple[np.ndarray, np.ndarray, Eigenva
     Eigenvalues come from solve_pencil, eigenvectors from one twisted
     factorization each, with the componentwise accuracy that slope and
     form checks need. Returns (lambda ascending, y columns, EigenvalueList).
+    An order beyond _pairs_max_order raises OutOfRange before anything of
+    size N x N is allocated.
     """
+    if p.order > (top := _pairs_max_order()):
+        raise OutOfRange(
+            f"eigenvector order {p.order} exceeds {top}, the largest whose n x n arrays "
+            f"fit the memory budget"
+        )
     info = solve_pencil(p)
     return info.values, _twisted_vectors(p, info.values), info
 

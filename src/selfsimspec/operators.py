@@ -23,6 +23,7 @@ offers), every kind behind that guard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ from .errors import OutOfRange, RangeOverflow
 from .selfsim import DiscreteWeight, SelfSimilarParams, _freeze, weight_truncation
 
 SECTION_KINDS = ("A", "B", "Binv", "ABinv", "sym", "K", "M", "green")
+# Bytes the n x n float64 arrays of one dense computation may take at once: a section, the
+# Green route or pencil_eigenpairs' vectors (each counts its own bytes per entry).
+_DENSE_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,11 @@ def _check_order(params: SelfSimilarParams, N: int) -> None:
         )
 
 
+def _dense_max_order(bytes_per_entry: int) -> int:
+    """The largest order whose n x n arrays, bytes_per_entry per entry, fit _DENSE_BUDGET."""
+    return math.isqrt(_DENSE_BUDGET // bytes_per_entry)
+
+
 def section(params: SelfSimilarParams, N: int, kind: str) -> np.ndarray:
     """The N x N matrix of the named kind (one of SECTION_KINDS), read-only.
 
@@ -90,8 +99,18 @@ def section(params: SelfSimilarParams, N: int, kind: str) -> np.ndarray:
     sign of d; for d < 0 ABinv is similar to S T, not T); K, M and
     green are the stiffness, mass and Green kernel matrices of the order-N
     truncation. Every kind raises RangeOverflow for N > params.max_order.
+    A kind holds at most two N x N float64 arrays at once (B: the outer
+    product and its lower triangle; green: G and G times the masses), 16
+    bytes per entry, so an order beyond _dense_max_order(16) (8192 for the
+    1 GiB _DENSE_BUDGET) raises OutOfRange before anything is allocated.
     """
+    if kind not in SECTION_KINDS:
+        raise OutOfRange(f"unknown section kind {kind!r}")
     _check_order(params, N)
+    if N > (top := _dense_max_order(16)):
+        raise OutOfRange(
+            f"section order {N} exceeds {top}, the largest whose n x n arrays fit the memory budget"
+        )
     if kind == "sym":
         return _freeze(symmetrized_section(params, N).dense())
     if kind in ("K", "M", "green"):
@@ -104,12 +123,13 @@ def section(params: SelfSimilarParams, N: int, kind: str) -> np.ndarray:
     a, d, q = params.a, params.d, params.q
     k = np.arange(N, dtype=float)
     idx = np.arange(N - 1)
-    out = np.zeros((N, N))
+    if kind == "B":
+        out = np.tril(np.outer(d ** k, a ** k))
+    else:
+        out = np.zeros((N, N))
     if kind == "A":
         np.fill_diagonal(out, 1.0)
         out[idx, idx + 1] = -1.0
-    elif kind == "B":
-        out = np.tril(np.outer(d ** k, a ** k))
     elif kind == "Binv":
         out[np.arange(N), np.arange(N)] = q ** k
         out[idx + 1, idx] = -d * q ** (k[1:])
@@ -117,8 +137,6 @@ def section(params: SelfSimilarParams, N: int, kind: str) -> np.ndarray:
         out[np.arange(N), np.arange(N)] = (1.0 + d * q) * q ** k
         out[idx, idx + 1] = -(q ** (k[:-1] + 1.0))
         out[idx + 1, idx] = -d * q ** (k[1:])
-    else:
-        raise OutOfRange(f"unknown section kind {kind!r}")
     if not np.all(np.isfinite(out)):
         raise RangeOverflow(f"section {kind} entries overflow at N = {N}")
     return _freeze(out)

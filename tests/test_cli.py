@@ -80,6 +80,11 @@ class TestExitCodes:
                  "--formulation", "green"),
                 "order 20000 exceeds",
             ),
+            # within the range guard (33220), beyond the dense sections' memory budget
+            (
+                ("matrix", "--kind", "A", "--a", "0.99", "--d", "0.99", "--n", "33000"),
+                "section order 33000 exceeds 8192",
+            ),
         ],
     )
     def test_validation_failures_are_two(self, argv, needle):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import selfsimspec as ss
-from selfsimspec import eigensolve
+from selfsimspec import eigensolve, spectral
 from selfsimspec.eigensolve import _jacobi
 
 from conftest import canonical, contraction_params
@@ -275,6 +275,160 @@ class TestSolvePencil:
             ss.solve_pencil(ss.PencilProblem(coupled, [1e-309, 1e-309], 2))
 
 
+def _plain_multisection(p):
+    """solve_pencil as it was before its Rayleigh-quotient stage, the reference for it:
+    every bracket from the probe grid is cut into equal parts, many per vectorised
+    count, until no cut moves it. Returns (values, eigenvalues below the first, dropped)."""
+    K, M, guard = p.K, p.M, 1.0 / eigensolve._MU_GUARD
+    glo, ghi = np.clip(eigensolve._gershgorin(K.diag, K.offdiag, M), -guard, guard)
+    probes = eigensolve._probe_grid(glo, ghi)
+    counts = eigensolve._counts_below(K.diag, K.offdiag, M, probes)
+    k1, k2 = int(counts[0]), int(counts[-1])
+    idxs = np.arange(k1 + 1, k2 + 1)
+    j = np.clip(np.searchsorted(np.maximum.accumulate(counts), idxs), 1, len(probes) - 1)
+    los, his = probes[j - 1], probes[j]
+    active = np.ones(len(idxs), dtype=bool)
+    for _ in range(eigensolve._BISECT_CAP):
+        act = np.flatnonzero(active)
+        if not len(act):
+            break
+        parts = 2 ** min(6, max(1, int(math.log2(eigensolve._PROBE_BUDGET / len(act)))))
+        frac = np.arange(1, parts) / parts
+        lo, hi = los[act, None], his[act, None]
+        pts = np.minimum(np.maximum(lo * (1.0 - frac) + hi * frac, lo), hi)
+        cnt = eigensolve._counts_below(K.diag, K.offdiag, M, pts.ravel()).reshape(pts.shape)
+        c = np.sum(~np.logical_or.accumulate(cnt >= idxs[act, None], axis=1), axis=1)
+        ends = np.hstack((lo, pts, hi))
+        rows = np.arange(len(act))
+        new_lo, new_hi = ends[rows, c], ends[rows, c + 1]
+        stuck = (new_lo == los[act]) & (new_hi == his[act])
+        los[act], his[act] = new_lo, new_hi
+        active[act[stuck]] = False
+    return np.maximum.accumulate(0.5 * (los + his)), k1, p.order - (k2 - k1)
+
+
+def _route_pencil(p, N, form):
+    if form == "fem":
+        return spectral._fem_pencil(ss.weight_truncation(p, N))
+    return spectral._section_pencil(p, N)
+
+
+def _row_by_row_twist(d, e, m, xs):
+    """The twist of _twist from _pivots' pivots and the sums of z^T M z written out, one
+    row at a time in each direction: (r, gamma_r, z^T M z)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fwd = np.array(list(eigensolve._pivots(d, e, m, xs)))
+        bwd = np.array(list(eigensolve._pivots(d[::-1], e[::-1], m[::-1], xs)))[::-1]
+        fs, bs = np.empty_like(fwd), np.empty_like(bwd)
+        fs[0], bs[-1] = m[0], m[-1]
+        for i in range(1, len(d)):
+            fs[i] = m[i] + (e[i - 1] / fwd[i - 1]) ** 2 * fs[i - 1]
+        for i in range(len(d) - 2, -1, -1):
+            bs[i] = m[i] + (e[i] / bwd[i + 1]) ** 2 * bs[i + 1]
+        gamma = fwd + bwd - (d[:, None] - m[:, None] * xs)
+        r = np.argmin(np.abs(gamma) / np.abs(m)[:, None], axis=0)
+        k = np.arange(len(xs))
+        return r, gamma[r, k], fs[r, k] + bs[r, k] - m[r]
+
+
+class TestRayleighStage:
+    """solve_pencil moves isolated brackets by Rayleigh-quotient steps on the twist element
+    gamma_r and probes a fan around each estimate; the counts still close every bracket
+    to adjacent doubles. Where the count is monotone that closes on the plain
+    multisection's value; where roundoff makes it change more than once over a few ulps,
+    either change is an answer of the count, and the two can differ."""
+
+    @staticmethod
+    def _check(p, N, form):
+        """Same index range and dropped count as the reference; every value within 2e-15
+        of its value, or else the count changes more than once between the two."""
+        pencil = _route_pencil(p, N, form)
+        got = ss.solve_pencil(pencil)
+        want, below, dropped = _plain_multisection(pencil)
+        assert got.dropped == dropped and len(got.values) == len(want)
+        assert got.residual_bound <= np.finfo(float).eps
+        rel = np.abs(got.values - want) / np.maximum(np.abs(got.values), np.abs(want))
+        for i in np.flatnonzero(rel > 2e-15):
+            lo, hi = sorted((got.values[i], want[i]))
+            ulp = np.spacing(min(abs(lo), abs(hi)))
+            xs = lo + ulp * np.arange(-2, (hi - lo) / ulp + 3)
+            assert len(xs) < 10**5
+            up = eigensolve._counts_below(pencil.K.diag, pencil.K.offdiag, pencil.M, xs) > below + i
+            assert not up[np.argmax(up):].all(), (i, rel[i])  # falls back after rising
+        return got
+
+    @pytest.mark.parametrize("form", ["fem", "section"])
+    @given(contraction_params(edge=0.99), st.integers(64, 320))
+    @example(ss.make_params(0.9834355985567105, -0.9954953942401036, -0.4887197112434862,
+                            0.20012592946157826), 118)
+    @settings(deadline=None, max_examples=10)
+    def test_matches_plain_multisection(self, form, p, N):
+        """Over the contraction domain, both signs of d, a -> 1 and a*d^2 -> 1. At the
+        example the fem count changes back and forth over ~220 ulps near -6.216; the two
+        values there lie 2.9e-14 apart, 1.1e-14 (this) and 1.8e-14 (the reference) from
+        the exact eigenvalue of the float64 pencil."""
+        self._check(p, min(N, p.max_order), form)
+
+    @pytest.mark.parametrize("form", ["fem", "section"])
+    @pytest.mark.parametrize(
+        "args,N",
+        [
+            ((0.9, -1.05, 0.0, 1.0), 300),
+            ((0.3, 1.7, 0.0, 1.0), 200),
+            ((0.99, 0.99, 0.0, 1.0), 300),
+            ((0.5, 0.5, 0.0, 1e308), 481),
+        ],
+    )
+    def test_points_where_fixed_corrections_missed(self, args, N, form, monkeypatch):
+        """Quadratic convergence with a constant of 2-10, weak grading and eigenvalues down
+        to 1e-308: the stage runs once, in one batch of few sweeps; only the first count
+        probes the Gershgorin ends or zero; pytest turns any RuntimeWarning into an error."""
+        calls, sweeps = [], []
+        counts_below, twist = eigensolve._counts_below, eigensolve._twist
+        monkeypatch.setattr(eigensolve, "_counts_below",
+                            lambda *a: calls.append(np.asarray(a[3])) or counts_below(*a))
+        monkeypatch.setattr(eigensolve, "_twist", lambda *a: sweeps.append(len(a[3])) or twist(*a))
+        p = ss.make_params(*args)
+        pencil = _route_pencil(p, N, form)
+        got = ss.solve_pencil(pencil)
+        assert 0 < len(sweeps) <= 5 and got.passes == len(calls) <= 25
+        K, M = pencil.K, pencil.M
+        guard = 1.0 / eigensolve._MU_GUARD
+        glo, ghi = np.clip(eigensolve._gershgorin(K.diag, K.offdiag, M), -guard, guard)
+        assert [i for i, xs in enumerate(calls) if np.isin([glo, ghi, 0.0], xs).any()] == [0]
+        monkeypatch.undo()
+        self._check(p, N, form)
+
+    @pytest.mark.parametrize("form", ["fem", "section"])
+    def test_canonical_order_300_takes_few_passes(self, form):
+        """The brackets close in at most 12 counts; plain multisection took 55."""
+        assert ss.solve_pencil(_route_pencil(P, 300, form)).passes <= 12
+
+    def test_green_reports_its_sweeps(self):
+        w = ss.weight_truncation(P, 300)
+        assert ss.solve_green(ss.green_kernel_matrix(w) / w.masses, w.masses).passes == 3
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.booleans())
+    @example(0, 1, False)
+    @example(1, 33, True)
+    @example(2, 64, True)
+    @settings(deadline=None, max_examples=40)
+    def test_twist_equals_the_row_by_row_twist(self, seed, n, signed):
+        """One sweep runs both factorizations side by side and meets them block by
+        block; r, gamma_r and z^T M z are bit for bit those of the plain recurrences."""
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        e = rng.standard_normal(n - 1)
+        m = rng.uniform(0.1, 2.0, n)
+        if signed:
+            m[rng.random(n) < 0.4] *= -1.0
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        exact = np.linalg.eigvals(T / m[:, None]).real  # shifts where the pivots near zero
+        xs = np.concatenate((exact, rng.standard_normal(20)))
+        for got, want in zip(eigensolve._twist(d, e, m, xs), _row_by_row_twist(d, e, m, xs)):
+            np.testing.assert_array_equal(got, want)
+
+
 def _round_pairs(n, s, o):
     """The pairs (i, i + s) of the Jacobi round (s, o): i in the length-s
     blocks starting at o, o + 2s, ..., with i + s < n; shape (pairs, 2)."""
@@ -313,7 +467,7 @@ def _fancy_round(A, pq, rot_tol):
 
 class TestDenseJacobi:
     def test_two_by_two(self):
-        vals, _ = _jacobi(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        vals, _, _ = _jacobi(np.array([[2.0, 1.0], [1.0, 2.0]]))
         np.testing.assert_allclose(vals, [1.0, 3.0], rtol=1e-14)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 7))
@@ -322,7 +476,7 @@ class TestDenseJacobi:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n))
         S = A + A.T
-        got, _ = _jacobi(S.copy())
+        got, _, _ = _jacobi(S.copy())
         want = np.linalg.eigvalsh(S)
         np.testing.assert_allclose(got, want, atol=1e-12 * np.abs(want).max())
 
@@ -357,7 +511,7 @@ class TestDenseJacobi:
         rng = np.random.default_rng(17)
         A = rng.standard_normal((8, 8))
         S = A + A.T
-        vals, _ = _jacobi(S.copy())
+        vals, _, _ = _jacobi(S.copy())
         assert float(np.sum(vals)) == pytest.approx(float(np.trace(S)), rel=1e-13)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfsimspec as ss
-from selfsimspec import eigensolve
+from selfsimspec import eigensolve, operators
 from conftest import canonical, contraction_params, run_cli
 
 P = canonical()
@@ -185,15 +185,30 @@ class TestInertiaCore:
 
 
 class TestCrossValidate:
+    """The section is compared with fem only where it has converged: where its orders N and
+    N - N//4 agree to 1e-12. At a = d = 1/2 that holds for the smallest magnitudes from
+    N = 60 on (none at N = 30, where the smallest still moves by 1e-7)."""
+
     def test_routes_agree_definite(self):
-        cv = ss.cross_validate(P, 30)
+        cv = ss.cross_validate(P, 60)
         assert cv.max_rel_diff["fem-pencil:green-kernel"] <= 1e-10
-        assert cv.max_rel_diff["jacobi-section:fem-pencil"] <= 1e-4
+        assert cv.converged == 6
+        assert cv.max_rel_diff["jacobi-section:fem-pencil"] <= 1e-15
 
     def test_routes_agree_indefinite(self):
-        cv = ss.cross_validate(PN, 30)
+        cv = ss.cross_validate(PN, 60)
         assert cv.max_rel_diff["fem-pencil:green-kernel"] <= 1e-10
-        assert cv.max_rel_diff["jacobi-section:fem-pencil"] <= 1e-4
+        assert cv.converged == 7
+        assert cv.max_rel_diff["jacobi-section:fem-pencil"] <= 1e-15
+
+    def test_unconverged_section_is_not_compared(self):
+        """At (0.99, 0.5) the section converges slowly (its smallest eigenvalue moves by 2%
+        from order 45 to 60): comparing the N//2 smallest read 4.3e-2 while fem and green
+        agree to 3e-14. No index has converged, so none is compared."""
+        cv = ss.cross_validate(ss.make_params(0.99, 0.5, 0.0, 1.0), 60)
+        assert cv.max_rel_diff["fem-pencil:green-kernel"] <= 1e-13
+        assert cv.converged == 0
+        assert cv.max_rel_diff["jacobi-section:fem-pencil"] == 0.0
 
 
 class TestEstimateC:
@@ -331,7 +346,7 @@ class TestVerifySuite:
         assert "FAIL" not in out
 
     def test_green_line_runs_at_the_largest_order_green_allows(self, monkeypatch):
-        monkeypatch.setattr(eigensolve, "_GREEN_BUDGET", 25 * 12**2)
+        monkeypatch.setattr(operators, "_DENSE_BUDGET", 25 * 12**2)
         assert eigensolve._green_max_order() == 12
         with pytest.raises(ss.OutOfRange):
             ss.compute_spectrum(P, 13, "green-kernel")
@@ -339,6 +354,19 @@ class TestVerifySuite:
         ok, detail = results["fem vs green spectra"]
         assert ok and detail.endswith("at order 12"), detail
         assert all(ok for ok, _ in results.values()), results
+
+    def test_eigenvector_lines_run_at_the_largest_order_pairs_allow(self, monkeypatch):
+        """pencil_eigenpairs holds 32 bytes per entry: with room for order 10 it refuses 11,
+        and verify checks the eigenvectors at order 10 while the inertia line keeps N."""
+        monkeypatch.setattr(operators, "_DENSE_BUDGET", 32 * 10**2)
+        w = ss.weight_truncation(P, 11)
+        with pytest.raises(ss.OutOfRange, match="eigenvector order 11 exceeds 10"):
+            ss.pencil_eigenpairs(ss.PencilProblem(ss.stiffness_matrix(w), w.masses, 11))
+        results = {name: (ok, detail) for name, ok, detail in ss.verify_suite(P, N=20)}
+        for name in ("quadratic form identity", "boundary functional"):
+            ok, detail = results[name]
+            assert ok and detail.endswith("at order 10"), detail
+        assert results["inertia count"] == (True, "0 negative of 20, weight has 0")
 
     def test_deterministic(self):
         a = ss.verify_suite(P, N=10)
