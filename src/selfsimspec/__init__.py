@@ -35,9 +35,7 @@ from .operators import (
     SlopeSequence,
     TridiagonalSymmetric,
     boundary_functional,
-    default_form_depth,
     eigenfunction_slopes,
-    extension_condition_trace,
     green_kernel_matrix,
     mass_matrix,
     quadratic_form_sides,
@@ -67,7 +65,6 @@ from .spectral import (
     cross_validate,
     estimate_c,
     indefinite_report,
-    stable_window,
     verify_suite,
 )
 
@@ -103,10 +100,8 @@ __all__ = [
     "boundary_functional",
     "compute_spectrum",
     "cross_validate",
-    "default_form_depth",
     "eigenfunction_slopes",
     "estimate_c",
-    "extension_condition_trace",
     "fixed_point_residual",
     "green_kernel_matrix",
     "indefinite_report",
@@ -117,7 +112,6 @@ __all__ = [
     "section",
     "solve_green",
     "solve_pencil",
-    "stable_window",
     "step_function",
     "step_value",
     "stiffness_matrix",

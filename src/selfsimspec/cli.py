@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import NumericalError, OutOfRange, ValidationError
@@ -192,13 +193,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("weight", parents=[common], help="positions, masses and plateau values")
     p_matrix = sub.add_parser("matrix", parents=[common], help="N x N matrix section")
     p_matrix.add_argument("--kind", choices=SECTION_KINDS, default="ABinv")
-    p_spectrum = sub.add_parser("spectrum", parents=[common], help="eigenvalues, ascending")
-    p_spectrum.add_argument("--formulation", choices=tuple(_FORMULATION), default="fem")
+    solved = argparse.ArgumentParser(add_help=False)
+    solved.add_argument("--formulation", choices=tuple(_FORMULATION), default="fem")
+    p_spectrum = sub.add_parser("spectrum", parents=[common, solved], help="eigenvalues, ascending")
     p_spectrum.add_argument("--count", type=int, default=None)
-    p_asym = sub.add_parser("asymptotics", parents=[common], help="geometric-law fit")
-    p_asym.add_argument("--formulation", choices=tuple(_FORMULATION), default="green")
+    p_asym = sub.add_parser("asymptotics", parents=[common, solved], help="geometric-law fit")
     p_asym.add_argument("--window", default=None, help="index window k1:k2 (1-based)")
     sub.add_parser("verify", parents=[common], help="run the invariant suite")
+    # argparse before Python 3.13 reads a value such as -1e-3 as an option
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -37,10 +37,10 @@ here therefore works with relative thresholds:
   mean of that copy and its transpose symmetrizes where they cross. The
   result is bit for bit that of gathering and scattering the pairs by
   index. No product of two entries is formed, and graded positive
-  definite inputs keep high relative accuracy. The route holds 25 bytes
-  per matrix entry at once, so orders beyond _green_max_order (6553 for
-  the 1 GiB operators._DENSE_BUDGET) are refused before anything is
-  allocated; the eigenvectors likewise beyond _pairs_max_order.
+  definite inputs keep high relative accuracy. The route holds
+  _GREEN_BYTES per matrix entry at once, so orders beyond 6553 (for the
+  1 GiB operators._DENSE_BUDGET) are refused before anything is
+  allocated; the eigenvectors likewise beyond 5792 (_PAIRS_BYTES).
 
 Iteration caps (120 bisection steps, 30 Jacobi sweeps) are diagnostics,
 not tunables; no solver takes a tolerance.
@@ -60,7 +60,7 @@ from .errors import (
     OutOfRange,
     ZeroEigenvalue,
 )
-from .operators import TridiagonalSymmetric, _dense_max_order
+from .operators import TridiagonalSymmetric, _check_dense
 
 _PIVMIN = 1e-300
 _BLOCK = 32  # rows per blocked count
@@ -426,24 +426,10 @@ def _turn_rows(
             rows[...] = np.matmul(r.reshape(count, width, 2, 2), rows, out=prod)
 
 
-def _green_max_order() -> int:
-    """The largest order whose Green-route arrays fit the dense budget (6553 for 1 GiB).
-
-    They take 25 bytes per entry at once: G, LAPACK's copy of it and L in
-    the Cholesky, then G's buffer, L and L^T S L, then in Jacobi A, its
-    transposed copy B, the ratios (float64 each) and the ratios' mask above
-    rot_tol (bool).
-    """
-    return _dense_max_order(25)
-
-
-def _pairs_max_order() -> int:
-    """The largest order whose pencil_eigenpairs arrays fit the dense budget (5792 for 1 GiB).
-
-    They take 32 bytes per entry at once: D+ and D- of _twist and the two
-    halves' pivots and sums it keeps, then D+, D- and the vectors.
-    """
-    return _dense_max_order(32)
+# Bytes per matrix entry the Green route holds at once: G, LAPACK's copy of it and L in the
+# Cholesky, then G's buffer, L and L^T S L, then in Jacobi A, its transposed copy B, the ratios
+# (float64 each) and the ratios' mask above rot_tol (bool); orders up to 6553 for 1 GiB.
+_GREEN_BYTES = 25
 
 
 def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
@@ -663,20 +649,21 @@ def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
     return X
 
 
+# Bytes per entry pencil_eigenpairs holds at once: D+ and D- of _twist and the two halves'
+# pivots and sums it keeps, then D+, D- and the vectors; orders up to 5792 for 1 GiB.
+_PAIRS_BYTES = 32
+
+
 def pencil_eigenpairs(p: PencilProblem) -> tuple[np.ndarray, np.ndarray, EigenvalueList]:
     """Eigenvalues and unit eigenvectors of K y = lambda M y.
 
     Eigenvalues come from solve_pencil, eigenvectors from one twisted
     factorization each, with the componentwise accuracy that slope and
     form checks need. Returns (lambda ascending, y columns, EigenvalueList).
-    An order beyond _pairs_max_order raises OutOfRange before anything of
-    size N x N is allocated.
+    An order beyond the dense budget for _PAIRS_BYTES raises OutOfRange before
+    anything of size N x N is allocated.
     """
-    if p.order > (top := _pairs_max_order()):
-        raise OutOfRange(
-            f"eigenvector order {p.order} exceeds {top}, the largest whose n x n arrays "
-            f"fit the memory budget"
-        )
+    _check_dense("eigenvector", p.order, _PAIRS_BYTES)
     info = solve_pencil(p)
     return info.values, _twisted_vectors(p, info.values), info
 

@@ -91,6 +91,14 @@ def _dense_max_order(bytes_per_entry: int) -> int:
     return math.isqrt(_DENSE_BUDGET // bytes_per_entry)
 
 
+def _check_dense(what: str, N: int, bytes_per_entry: int) -> None:
+    """Refuse (OutOfRange) an order beyond _dense_max_order(bytes_per_entry), before allocating."""
+    if N > (top := _dense_max_order(bytes_per_entry)):
+        raise OutOfRange(
+            f"{what} order {N} exceeds {top}, the largest whose n x n arrays fit the memory budget"
+        )
+
+
 def section(params: SelfSimilarParams, N: int, kind: str) -> np.ndarray:
     """The N x N matrix of the named kind (one of SECTION_KINDS), read-only.
 
@@ -107,10 +115,7 @@ def section(params: SelfSimilarParams, N: int, kind: str) -> np.ndarray:
     if kind not in SECTION_KINDS:
         raise OutOfRange(f"unknown section kind {kind!r}")
     _check_order(params, N)
-    if N > (top := _dense_max_order(16)):
-        raise OutOfRange(
-            f"section order {N} exceeds {top}, the largest whose n x n arrays fit the memory budget"
-        )
+    _check_dense("section", N, 16)
     if kind == "sym":
         return _freeze(symmetrized_section(params, N).dense())
     if kind in ("K", "M", "green"):
@@ -217,37 +222,16 @@ def _green_unweighted(weight: DiscreteWeight) -> np.ndarray:
     return np.minimum(U, U.T, out=U)
 
 
-def _materialized(s: SlopeSequence, depth: int) -> np.ndarray:
-    """Slopes s_1..s_depth with the tail rule applied."""
-    v = s.values
-    if depth <= len(v):
-        return v[:depth]
-    pad = v[-1] if (s.tail == "constant" and len(v)) else 0.0
-    return np.concatenate((v, np.full(depth - len(v), pad)))
-
-
-def default_form_depth(s: SlopeSequence) -> int:
-    """Mass count implied by a slope sequence.
-
-    A constant-tail sequence of length N+1 comes from an N-mass truncation
-    (the final slope lives on the closing interval), so the outer sum of
-    the quadratic form stops at N; a compact sequence supplies one term per
-    stored slope.
-    """
-    s = _as_slopes(s)
-    n = len(s.values)
-    return max(n - 1, 1) if s.tail == "constant" else n
-
-
-def quadratic_form_sides(
-    params: SelfSimilarParams, s, lam: float, depth: int | None = None
-) -> tuple[float, float]:
+def quadratic_form_sides(params: SelfSimilarParams, s, lam: float) -> tuple[float, float]:
     """Both sides of the quadratic-form identity for a slope sequence.
 
     lhs = sum_k a^(k-1) s_k^2 (the energy, with the exact geometric tail
-    when the final slope continues), rhs = lam * r * sum_(k<=depth)
-    d^(k-1) F_k^2 where F_k = sum_(j<=k) a^(j-1) s_j. For an eigenpair of
-    the order-N pencil the two sides coincide with depth = N.
+    when the final slope continues), rhs = lam * r * sum_(k<=n)
+    d^(k-1) F_k^2 where F_k = sum_(j<=k) a^(j-1) s_j and n is the mass
+    count the sequence implies: a constant-tail sequence of length N+1 comes
+    from an N-mass truncation (its final slope lives on the closing
+    interval), so n = N; a compact sequence supplies one term per stored
+    slope. For an eigenpair of the order-N pencil the two sides coincide.
 
     A constant tail encodes y(1) = 0 (see eigenfunction_slopes), so also
     F_k = -sum_(j>k) a^(j-1) s_j; each F_k is summed from the end with the
@@ -255,30 +239,22 @@ def quadratic_form_sides(
     magnifies the roundoff of late F_k summed forward (a = 0.3, d = 1.7).
     """
     s = _as_slopes(s)
-    if depth is None:
-        depth = default_form_depth(s)
-    if depth < 1:
-        raise OutOfRange(f"depth must be >= 1, got {depth}")
     a, d = params.a, params.d
     v = s.values
-    wv = a ** np.arange(len(v), dtype=float)
-    if s.tail == "constant" and len(v):
-        # the last slope continues: its energy is an exact geometric series
-        lhs = float(np.sum(wv[:-1] * v[:-1] * v[:-1]))
-        # v[-1] ~ a^-N: weight one factor first so the square stays in range
-        lhs += float(v[-1]) * a ** (len(v) - 1) * float(v[-1]) / (1.0 - a)
-    else:
-        lhs = float(np.sum(wv * v * v))
-    n = max(depth, len(v))
-    t = a ** np.arange(n, dtype=float) * _materialized(s, n)
+    t = a ** np.arange(len(v), dtype=float) * v
     F = np.cumsum(t)
     if s.tail == "constant" and len(v):
-        # the terms beyond k, the tail past n in closed form, summed from the far end
-        back = np.append(float(v[-1]) * a ** n / (1.0 - a), t[:0:-1])
+        # the last slope continues: its energy is an exact geometric series;
+        # v[-1] ~ a^-N: weight one factor first so the square stays in range
+        lhs = float(np.sum(t[:-1] * v[:-1]))
+        lhs += float(v[-1]) * a ** (len(v) - 1) * float(v[-1]) / (1.0 - a)
+        # the terms beyond k, the tail past the last slope in closed form, summed from the far end
+        back = np.append(float(v[-1]) * a ** len(v) / (1.0 - a), t[:0:-1])
         cheaper = np.cumsum(np.abs(t)) <= np.cumsum(np.abs(back))[::-1]
-        F = np.where(cheaper, F, -np.cumsum(back)[::-1])
-    F = F[:depth]
-    rhs = float(lam * params.r * np.sum(d ** np.arange(depth, dtype=float) * F * F))
+        F = np.where(cheaper, F, -np.cumsum(back)[::-1])[: max(len(v) - 1, 1)]
+    else:
+        lhs = float(np.sum(t * v))
+    rhs = float(lam * params.r * np.sum(d ** np.arange(len(F), dtype=float) * F * F))
     return lhs, rhs
 
 
@@ -347,13 +323,3 @@ def symmetry_defect(params: SelfSimilarParams, u, v, N: int) -> float:
     cross = uu[:-1] * vv[1:] - uu[1:] * vv[:-1]
     return float(np.sum(coeff * cross))
 
-
-def extension_condition_trace(params: SelfSimilarParams, u, N: int) -> np.ndarray:
-    """The sequence u_n / d^(n-1), n = 1..N.
-
-    Sequences in the domain of the selected self-adjoint extension have
-    this trace tending to zero; u = B s for an eigen slope sequence decays
-    like a^n, while generic sequences do not decay at all.
-    """
-    u = np.asarray(u, dtype=float)[:N]
-    return u / params.d ** np.arange(len(u), dtype=float)

@@ -209,7 +209,8 @@ def fixed_point_residual(params: SelfSimilarParams, depth: int) -> float:
 
     P_K is the closed-form truncation; the restriction excludes the last
     interval where the depth-(K+1) image resolves one more plateau than
-    P_K. Must vanish up to roundoff for every valid parameter tuple.
+    P_K. Must vanish up to roundoff, relative to max(|beta1|, |beta2|, 1),
+    for every valid parameter tuple.
     """
     if depth < 2:
         raise OutOfRange(f"depth must be >= 2, got {depth}")
@@ -219,7 +220,10 @@ def fixed_point_residual(params: SelfSimilarParams, depth: int) -> float:
     image[1:] = params.d * vals[: depth - 1] + params.beta2
     diff = image - vals[:depth]
     lengths = (1.0 - params.a) * params.a ** np.arange(depth, dtype=float)
-    return float(math.sqrt(np.sum(diff * diff * lengths)))
+    # scaled by a power of two before squaring: exact, and the squares stay in range
+    e = math.frexp(float(np.max(np.abs(diff))))[1]
+    diff = np.ldexp(diff, -e)
+    return math.ldexp(math.sqrt(float(np.sum(diff * diff * lengths))), e)
 
 
 def weight_truncation(params: SelfSimilarParams, N: int) -> DiscreteWeight:

@@ -5,6 +5,7 @@ measured figure, and enforces the stated runtime budget. The canonical
 parameters are a = 1/2, d = +-1/2, beta1 = 0, beta2 = 1 (q = +-4, r = 1/2).
 """
 
+import inspect
 import math
 import time
 from pathlib import Path
@@ -13,10 +14,18 @@ import numpy as np
 
 import selfsimspec as ss
 from conftest import canonical, run_cli
+from selfsimspec import spectral
 
 GOLDEN = Path(__file__).parent / "golden"
 P = canonical()
 PN = canonical(-1.0)
+
+
+def _failing_verify(monkeypatch) -> int:
+    """verify's exit code with a fixed-point residual far above its bound."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "fixed_point_residual", lambda params, depth: 1.0)
+        return run_cli("verify", "--n", "8")[0]
 
 
 def test_criterion_1_fixed_point():
@@ -199,7 +208,7 @@ def test_criterion_8_eigensolver_oracles():
     )
 
 
-def test_criterion_9_cli_contract():
+def test_criterion_9_cli_contract(monkeypatch):
     """Golden bytes for weight, ABinv matrix (N = 3) and spectrum (N = 2);
     exit codes 0, 1, 2, 3 all observed."""
     t0 = time.perf_counter()
@@ -215,7 +224,7 @@ def test_criterion_9_cli_contract():
 
     codes = {
         0: run_cli("spectrum", "--n", "2")[0],
-        1: run_cli("verify", "--beta2", "1e140", "--n", "8")[0],
+        1: _failing_verify(monkeypatch),
         2: run_cli("weight", "--a", "1.5")[0],
         3: run_cli("matrix", "--n", "500")[0],
     }
@@ -223,3 +232,13 @@ def test_criterion_9_cli_contract():
     assert codes == {0: 0, 1: 1, 2: 2, 3: 3}
     assert elapsed < 1.0
     print(f"PASS criterion 9: goldens byte-identical, exit codes 0/1/2/3 ({elapsed:.3f}s)")
+
+
+def test_public_names_are_pinned():
+    """__all__ is sorted, has no duplicates, and is exactly the public names the
+    package imports, so a deleted function cannot leave a stale export."""
+    names = ss.__all__
+    assert names == sorted(names) and len(set(names)) == len(names)
+    assert all(hasattr(ss, name) for name in names)
+    public = {n for n, v in vars(ss).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert public == set(names)

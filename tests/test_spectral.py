@@ -63,10 +63,17 @@ class TestComputeSpectrum:
         p = ss.make_params(0.99, 0.99, 0.0, 1.0)
         assert p.max_order > 20000
         start = time.perf_counter()
-        top = eigensolve._green_max_order()
+        top = operators._dense_max_order(eigensolve._GREEN_BYTES)
         with pytest.raises(ss.OutOfRange, match=f"order 20000 exceeds {top}"):
             ss.compute_spectrum(p, 20000, "green-kernel")
         assert time.perf_counter() - start < 1.0
+
+    def test_canonical_fem_has_converged_at_the_fit_window(self):
+        """Orders 60 and 30 agree to 1e-4 at indices 8..20 (2.0e-10 measured), so
+        the geometric-law fits there see the infinite problem's eigenvalues."""
+        full = ss.compute_spectrum(P, 60).values[7:20]
+        half = ss.compute_spectrum(P, 30).values[7:20]
+        assert np.max(np.abs(full - half) / np.maximum(np.abs(full), np.abs(half))) <= 1e-4
 
     def test_count_selects_smallest_magnitude(self):
         spec = ss.compute_spectrum(PN, 10, "fem-pencil", count=2)
@@ -296,21 +303,6 @@ class TestIndefiniteReport:
             ss.indefinite_report(spec, (9, 30))
 
 
-class TestStableWindow:
-    def test_canonical_window_contains_the_plateau(self):
-        k1, k2 = ss.stable_window(P, 60)
-        assert k1 == 8
-        assert k2 >= 20
-
-    def test_indefinite_refused(self):
-        with pytest.raises(ss.WrongSign):
-            ss.stable_window(PN, 40)
-
-    def test_too_small(self):
-        with pytest.raises(ss.EmptyWindow):
-            ss.stable_window(P, 10)
-
-
 class TestVerifySuite:
     def test_all_pass_both_signs(self):
         for p in (P, PN):
@@ -347,7 +339,7 @@ class TestVerifySuite:
 
     def test_green_line_runs_at_the_largest_order_green_allows(self, monkeypatch):
         monkeypatch.setattr(operators, "_DENSE_BUDGET", 25 * 12**2)
-        assert eigensolve._green_max_order() == 12
+        assert operators._dense_max_order(eigensolve._GREEN_BYTES) == 12
         with pytest.raises(ss.OutOfRange):
             ss.compute_spectrum(P, 13, "green-kernel")
         results = {name: (ok, detail) for name, ok, detail in ss.verify_suite(P, N=20)}
@@ -367,6 +359,20 @@ class TestVerifySuite:
             ok, detail = results[name]
             assert ok and detail.endswith("at order 10"), detail
         assert results["inertia count"] == (True, "0 negative of 20, weight has 0")
+
+    @pytest.mark.parametrize("d,negative", [(0.5, 0), (-0.5, 33)])
+    def test_inertia_counts_eigenvalues_dropped_beyond_the_guard(self, d, negative):
+        """beta2 = 1e-250 puts 34 of 100 eigenvalues above 1e290, where solve_pencil drops
+        them; the negative masses (50 for d < 0) lie between the kept negative eigenvalues
+        and those plus the dropped ones."""
+        p = ss.make_params(0.5, d, 0.0, 1e-250)
+        results = {name: (ok, detail) for name, ok, detail in ss.verify_suite(p, N=100)}
+        assert results["inertia count"] == (
+            True,
+            f"{negative} negative of 66, weight has {50 if d < 0 else 0}, "
+            f"34 dropped beyond the range guard",
+        )
+        assert all(ok for ok, _ in results.values()), results
 
     def test_deterministic(self):
         a = ss.verify_suite(P, N=10)
