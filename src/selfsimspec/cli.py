@@ -2,7 +2,8 @@
 
 Output is machine readable and byte deterministic: JSON (indent 2, keys in
 a fixed order, floats in shortest round-trip form) or CSV (header row,
-"." decimal separator). Exit codes: 0 success, 1 verification failure,
+"." decimal separator), written as it is formatted; verify prints one
+PASS/FAIL line per check. Exit codes: 0 success, 1 verification failure,
 2 validation error or an unwritable --out path, 3 numerical failure.
 """
 
@@ -13,6 +14,8 @@ import json
 import re
 import sys
 
+import numpy as np
+
 from .errors import NumericalError, OutOfRange, ValidationError
 from .operators import SECTION_KINDS, section
 from .selfsim import make_params, step_function, weight_truncation
@@ -21,28 +24,29 @@ from .spectral import compute_spectrum, estimate_c, indefinite_report, verify_su
 _FORMULATION = {"jacobi": "jacobi-section", "fem": "fem-pencil", "green": "green-kernel"}
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _cells(values) -> list[str]:
+    return [repr(x) for x in values.tolist()]
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    return "\n".join(lines) + "\n"
+def _indexed(k1: int, *columns):
+    """CSV rows k1, k1 + 1, ...: the index, then one cell from each column."""
+    return zip(map(str, range(k1, k1 + len(columns[0]))), *columns)
 
 
-def _cell(x) -> str:
-    return repr(float(x))
+def _chunks(record, fmt: str):
+    """The text of a (JSON payload, CSV header, CSV rows) record, piece by piece."""
+    payload, header, rows = record
+    if fmt == "json":
+        yield from json.JSONEncoder(indent=2, default=np.ndarray.tolist).iterencode(payload)
+        yield "\n"
+        return
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(row) + "\n"
 
 
 def _params_payload(p) -> dict:
-    return {
-        "a": p.a,
-        "d": p.d,
-        "beta1": p.beta1,
-        "beta2": p.beta2,
-        "q": p.q,
-        "r": p.r,
-    }
+    return {"a": p.a, "d": p.d, "beta1": p.beta1, "beta2": p.beta2, "q": p.q, "r": p.r}
 
 
 def _parse_window(text: str | None) -> tuple[int, int] | None:
@@ -57,122 +61,54 @@ def _parse_window(text: str | None) -> tuple[int, int] | None:
         raise OutOfRange(f"window must be k1:k2 with integer bounds, got {text!r}") from None
 
 
-def _cmd_weight(args, params) -> str:
+# Each command computes its whole result before it returns the record, so every
+# error is raised before the first byte is written.
+
+
+def _cmd_weight(args, params):
     w = weight_truncation(params, args.n)
-    if args.format == "csv":
-        rows = [
-            [str(k + 1), _cell(w.positions[k]), _cell(w.masses[k])] for k in range(w.order)
-        ]
-        return _csv_text(["k", "position", "mass"], rows)
     f = step_function(params, args.n)
-    return _json_text(
-        {
-            "params": _params_payload(params),
-            "N": args.n,
-            "positions": [float(x) for x in w.positions],
-            "masses": [float(x) for x in w.masses],
-            "step_values": [float(x) for x in f.values],
-        }
-    )
+    payload = {"params": _params_payload(params), "N": args.n, "positions": w.positions,
+               "masses": w.masses, "step_values": f.values}
+    return payload, ["k", "position", "mass"], _indexed(1, _cells(w.positions), _cells(w.masses))
 
 
-def _cmd_matrix(args, params) -> str:
+def _cmd_matrix(args, params):
     data = section(params, args.n, args.kind)
-    if args.format == "csv":
-        header = [f"c{j + 1}" for j in range(data.shape[1])]
-        rows = [[_cell(x) for x in row] for row in data]
-        return _csv_text(header, rows)
-    return _json_text(
-        {
-            "params": _params_payload(params),
-            "kind": args.kind,
-            "N": args.n,
-            "rows": [[float(x) for x in row] for row in data],
-        }
-    )
+    # row views, so the text of one row at a time exists besides the array
+    payload = {"params": _params_payload(params), "kind": args.kind, "N": args.n,
+               "rows": list(data)}
+    return payload, [f"c{j + 1}" for j in range(data.shape[1])], map(_cells, data)
 
 
-def _cmd_spectrum(args, params) -> str:
+def _cmd_spectrum(args, params):
     spec = compute_spectrum(params, args.n, _FORMULATION[args.formulation], count=args.count)
-    if args.format == "csv":
-        rows = [[str(k + 1), _cell(v)] for k, v in enumerate(spec.values)]
-        return _csv_text(["k", "lambda"], rows)
-    return _json_text(
-        {
-            "params": _params_payload(params),
-            "N": spec.order,
-            "formulation": spec.formulation,
-            "eigenvalues": [float(v) for v in spec.values],
-        }
-    )
+    payload = {"params": _params_payload(params), "N": spec.order,
+               "formulation": spec.formulation, "eigenvalues": spec.values}
+    return payload, ["k", "lambda"], _indexed(1, _cells(spec.values))
 
 
-def _cmd_asymptotics(args, params) -> str:
+def _cmd_asymptotics(args, params):
     window = _parse_window(args.window)
     spec = compute_spectrum(params, args.n, _FORMULATION[args.formulation])
+    rep = (estimate_c if params.d > 0 else indefinite_report)(spec, window)
+    k1, k2 = rep.window
+    payload = {"params": _params_payload(params), "N": spec.order,
+               "formulation": spec.formulation, "window": list(rep.window), "q": rep.q_used}
     if params.d > 0:
-        rep = estimate_c(spec, window)
-        if args.format == "csv":
-            k1, k2 = rep.window
-            rows = []
-            for i, k in enumerate(range(k1, k2 + 1)):
-                ratio = _cell(rep.ratios[i - 1]) if i > 0 else ""
-                rows.append([str(k), _cell(spec.values[k - 1]), _cell(rep.per_k_c[i]), ratio])
-            return _csv_text(["k", "lambda", "c_k", "ratio"], rows)
-        return _json_text(
-            {
-                "params": _params_payload(params),
-                "N": spec.order,
-                "formulation": spec.formulation,
-                "window": list(rep.window),
-                "q": float(rep.q_used),
-                "c_estimate": float(rep.c_estimate),
-                "per_k_c": [float(x) for x in rep.per_k_c],
-                "ratios": [float(x) for x in rep.ratios],
-                "max_rel_dispersion": float(rep.max_rel_dispersion),
-            }
-        )
-    rep = indefinite_report(spec, window)
-    if args.format == "csv":
-        k1, k2 = rep.window
-        rows = []
-        for i, k in enumerate(range(k1, k2 + 1)):
-            rows.append(
-                [
-                    str(k),
-                    _cell(rep.positive[i]),
-                    _cell(rep.negative[i]),
-                    _cell(rep.c_plus[i]),
-                    _cell(rep.c_minus[i]),
-                    _cell(rep.cross_ratios[i]),
-                ]
-            )
-        return _csv_text(["pair", "positive", "negative", "c_plus", "c_minus", "cross"], rows)
-    return _json_text(
-        {
-            "params": _params_payload(params),
-            "N": spec.order,
-            "formulation": spec.formulation,
-            "window": list(rep.window),
-            "q": float(rep.q_used),
-            "positive": [float(x) for x in rep.positive],
-            "negative": [float(x) for x in rep.negative],
-            "c_plus": [float(x) for x in rep.c_plus],
-            "c_minus": [float(x) for x in rep.c_minus],
-            "cross_ratios": [float(x) for x in rep.cross_ratios],
-            "ratios_positive": [float(x) for x in rep.ratios_positive],
-            "ratios_negative": [float(x) for x in rep.ratios_negative],
-        }
-    )
+        payload |= {"c_estimate": rep.c_estimate, "per_k_c": rep.per_k_c, "ratios": rep.ratios,
+                    "max_rel_dispersion": rep.max_rel_dispersion}
+        ratios = ["", *_cells(rep.ratios)]  # no ratio before the first window index
+        rows = _indexed(k1, _cells(spec.values[k1 - 1 : k2]), _cells(rep.per_k_c), ratios)
+        return payload, ["k", "lambda", "c_k", "ratio"], rows
+    columns = ("positive", "negative", "c_plus", "c_minus", "cross_ratios")
+    payload |= {key: getattr(rep, key) for key in (*columns, "ratios_positive", "ratios_negative")}
+    rows = _indexed(k1, *(_cells(getattr(rep, key)) for key in columns))
+    return payload, ["pair", "positive", "negative", "c_plus", "c_minus", "cross"], rows
 
 
-def _cmd_verify(args, params) -> tuple[str, int]:
-    results = verify_suite(params, N=args.n)
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results
-    ]
-    code = 0 if all(ok for _, ok, _ in results) else 1
-    return "\n".join(lines) + "\n", code
+_COMMANDS = {"weight": _cmd_weight, "matrix": _cmd_matrix, "spectrum": _cmd_spectrum,
+             "asymptotics": _cmd_asymptotics}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -186,18 +122,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--beta1", type=float, default=0.0, help="affine offset coefficient")
     common.add_argument("--beta2", type=float, default=1.0, help="affine shift coefficient")
     common.add_argument("--n", type=int, default=20, help="truncation order N")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[common])
+    formatted.add_argument("--format", choices=("json", "csv"), default="json")
+    for p in (common, formatted):  # verify writes plain text lines: no --format
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("weight", parents=[common], help="positions, masses and plateau values")
-    p_matrix = sub.add_parser("matrix", parents=[common], help="N x N matrix section")
+    sub.add_parser("weight", parents=[formatted], help="positions, masses and plateau values")
+    p_matrix = sub.add_parser("matrix", parents=[formatted], help="N x N matrix section")
     p_matrix.add_argument("--kind", choices=SECTION_KINDS, default="ABinv")
-    solved = argparse.ArgumentParser(add_help=False)
+    solved = argparse.ArgumentParser(add_help=False, parents=[formatted])
     solved.add_argument("--formulation", choices=tuple(_FORMULATION), default="fem")
-    p_spectrum = sub.add_parser("spectrum", parents=[common, solved], help="eigenvalues, ascending")
+    p_spectrum = sub.add_parser("spectrum", parents=[solved], help="eigenvalues, ascending")
     p_spectrum.add_argument("--count", type=int, default=None)
-    p_asym = sub.add_parser("asymptotics", parents=[common, solved], help="geometric-law fit")
+    p_asym = sub.add_parser("asymptotics", parents=[solved], help="geometric-law fit")
     p_asym.add_argument("--window", default=None, help="index window k1:k2 (1-based)")
     sub.add_parser("verify", parents=[common], help="run the invariant suite")
     # argparse before Python 3.13 reads a value such as -1e-3 as an option
@@ -214,16 +152,14 @@ def main(argv=None) -> int:
     code = 0
     try:
         params = make_params(args.a, args.d, args.beta1, args.beta2)
-        if args.command == "weight":
-            text = _cmd_weight(args, params)
-        elif args.command == "matrix":
-            text = _cmd_matrix(args, params)
-        elif args.command == "spectrum":
-            text = _cmd_spectrum(args, params)
-        elif args.command == "asymptotics":
-            text = _cmd_asymptotics(args, params)
+        if args.command == "verify":
+            results = verify_suite(params, N=args.n)
+            chunks = [
+                f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n" for name, ok, detail in results
+            ]
+            code = 0 if all(ok for _, ok, _ in results) else 1
         else:
-            text, code = _cmd_verify(args, params)
+            chunks = _chunks(_COMMANDS[args.command](args, params), args.format)
     except ValidationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -233,12 +169,12 @@ def main(argv=None) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             print(f"cannot write --out: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return code
 
 

@@ -127,14 +127,39 @@ def make_params(a: float, d: float, beta1: float, beta2: float) -> SelfSimilarPa
     return SelfSimilarParams(a, d, beta1, beta2, q, r, max_order)
 
 
+def _masses(params: SelfSimilarParams, exponents: np.ndarray) -> np.ndarray:
+    """m_(k+1) = (d*beta1 + beta2 - beta1) * d^k for each exponent k."""
+    jump = params.d * params.beta1 + params.beta2 - params.beta1
+    return jump * params.d ** exponents
+
+
+def _check_order(params: SelfSimilarParams, N: int) -> None:
+    """Refuse an order N >= 1 whose a^N underflows to 0 or whose masses leave
+    double range, before any length-N array exists.
+
+    The last gap and the first and last masses are the extreme entries;
+    they are computed by the same expressions as the arrays, so an order
+    that passes builds arrays with no zero gap and no overflowed mass.
+    """
+    if params.a ** np.array([float(N)])[0] <= 0.0:
+        raise RangeOverflow(f"a^{N} underflows to 0")
+    with np.errstate(over="ignore"):
+        ends = _masses(params, np.array([0.0, N - 1.0]))
+    if not np.all(np.isfinite(ends)):
+        raise RangeOverflow(f"masses overflow at N = {N}")
+
+
 def _plateau_values(params: SelfSimilarParams, depth: int) -> np.ndarray:
     """Plateau values v_0..v_depth; v_k - v_(k-1) = m_k by construction."""
-    jump = params.d * params.beta1 + params.beta2 - params.beta1
-    masses = jump * params.d ** np.arange(depth, dtype=float)
+    if depth > 0:
+        _check_order(params, depth)
     vals = np.empty(depth + 1)
     vals[0] = params.beta1
-    np.cumsum(masses, out=vals[1:])
-    vals[1:] += params.beta1
+    with np.errstate(over="ignore"):
+        np.cumsum(_masses(params, np.arange(depth, dtype=float)), out=vals[1:])
+        vals[1:] += params.beta1
+    if not np.all(np.isfinite(vals)):
+        raise RangeOverflow(f"plateau values overflow at depth {depth}")
     return vals
 
 
@@ -142,16 +167,17 @@ def step_function(params: SelfSimilarParams, depth: int) -> StepFunction:
     """Depth-K truncation of the fixed point, in closed form.
 
     The fixed point is never produced by iterating the similarity map; the
-    closed form is exact and apply_similarity exists to test it.
+    closed form is exact and apply_similarity exists to test it. Raises
+    RangeOverflow as weight_truncation does, or when a plateau value leaves
+    double range.
     """
     if depth < 0:
         raise OutOfRange(f"depth must be >= 0, got {depth}")
+    values = _plateau_values(params, depth)
     gaps = params.a ** np.arange(1, depth + 1, dtype=float)
-    if depth > 0 and gaps[-1] <= 0.0:
-        raise RangeOverflow(f"a^{depth} underflows")
     return StepFunction(
         breakpoints=_freeze(1.0 - gaps),
-        values=_freeze(_plateau_values(params, depth)),
+        values=_freeze(values),
         depth=depth,
     )
 
@@ -234,16 +260,11 @@ def weight_truncation(params: SelfSimilarParams, N: int) -> DiscreteWeight:
     """
     if N < 1:
         raise OutOfRange(f"N must be >= 1, got {N}")
+    _check_order(params, N)
     gaps = params.a ** np.arange(1, N + 1, dtype=float)
-    if gaps[-1] <= 0.0:
-        raise RangeOverflow(f"a^{N} underflows to 0")
-    jump = params.d * params.beta1 + params.beta2 - params.beta1
-    masses = jump * params.d ** np.arange(N, dtype=float)
-    if not np.all(np.isfinite(masses)):
-        raise RangeOverflow(f"masses overflow at N = {N}")
     return DiscreteWeight(
         positions=_freeze(1.0 - gaps),
-        masses=_freeze(masses),
+        masses=_freeze(_masses(params, np.arange(N, dtype=float))),
         gaps=_freeze(gaps),
         order=N,
     )

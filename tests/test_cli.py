@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,20 @@ from conftest import canonical, run_cli
 from selfsimspec import spectral
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# Invocations whose output is frozen byte for byte in tests/golden.
+GOLDENS = [
+    (("weight", "--a", "0.5", "--d", "0.5", "--beta1", "0", "--beta2", "1",
+      "--n", "3", "--format", "csv"), "weight_n3.csv"),
+    (("matrix", "--kind", "ABinv", "--n", "3"), "matrix_abinv_n3.json"),
+    (("spectrum", "--n", "2", "--formulation", "fem"), "spectrum_n2.json"),
+    (("spectrum", "--n", "2", "--format", "csv"), "spectrum_n2.csv"),
+    (("asymptotics", "--n", "40", "--window", "12:20", "--format", "csv"),
+     "asymptotics_n40_w12_20.csv"),
+    (("asymptotics", "--d", "-0.5", "--n", "30"), "asymptotics_indefinite_n30.json"),
+    (("weight", "--n", "4"), "weight_n4.json"),
+    (("matrix", "--kind", "B", "--n", "4", "--format", "csv"), "matrix_b_n4.csv"),
+]
 
 
 class TestGoldenFiles:
@@ -46,6 +61,13 @@ class TestGoldenFiles:
         code, out, _ = run_cli("spectrum", "--n", "2", "--format", "csv")
         assert code == 0
         assert out == (GOLDEN / "spectrum_n2.csv").read_text()
+
+    # the first four have their own tests above, which also check the values
+    @pytest.mark.parametrize("argv,name", GOLDENS[4:], ids=[name for _, name in GOLDENS[4:]])
+    def test_golden(self, argv, name):
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        assert out == (GOLDEN / name).read_text()
 
 
 class TestExitCodes:
@@ -87,6 +109,8 @@ class TestExitCodes:
                 ("matrix", "--kind", "A", "--a", "0.99", "--d", "0.99", "--n", "33000"),
                 "section order 33000 exceeds 8192",
             ),
+            # verify prints PASS/FAIL lines and has no --format flag
+            (("verify", "--format", "json"), "unrecognized arguments: --format json"),
         ],
     )
     def test_validation_failures_are_two(self, argv, needle):
@@ -106,6 +130,30 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("RangeOverflow")
+
+    @pytest.mark.parametrize("command", ["weight", "spectrum", "verify"])
+    def test_overflowing_masses_are_three(self, command):
+        """m_5 = 5e307 * 1.5^4 leaves double range. The order is refused from
+        the extreme masses before the arrays exist, so no RuntimeWarning (an
+        error under the pytest configuration) comes before the exit 3."""
+        code, out, err = run_cli(
+            command, "--a", "0.2", "--d", "1.5", "--beta1", "1e308", "--beta2", "0", "--n", "5"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("RangeOverflow: masses overflow")
+
+    def test_underflowing_weight_is_three_before_allocating(self):
+        """0.5^20000000 underflows: refused before arrays of 20 million entries exist."""
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli("weight", "--n", "20000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert err == "RangeOverflow: a^20000000 underflows to 0\n"
+        assert peak < 1 << 20
 
     def test_spectrum_beyond_the_guard_is_three(self):
         n = str(canonical().max_order + 1)  # 482
@@ -189,13 +237,39 @@ class TestOutputContracts:
         for key in ("c_plus", "c_minus", "cross_ratios"):
             assert all(abs(v - 4.0) <= 4e-9 for v in doc[key]), doc[key]
 
-    def test_out_file_matches_stdout(self, tmp_path):
-        _, out, _ = run_cli("spectrum", "--n", "4")
-        target = tmp_path / "spec.json"
-        code, piped, _ = run_cli("spectrum", "--n", "4", "--out", str(target))
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("weight", "--n", "4"),
+            ("matrix", "--kind", "green", "--n", "4"),
+            ("spectrum", "--n", "4"),
+            ("asymptotics", "--n", "30", "--window", "8:12"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_file_matches_stdout(self, argv, fmt, tmp_path):
+        _, out, _ = run_cli(*argv, "--format", fmt)
+        target = tmp_path / f"out.{fmt}"
+        code, piped, _ = run_cli(*argv, "--format", fmt, "--out", str(target))
         assert code == 0
         assert piped == ""
         assert target.read_text() == out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_matrix_output_holds_only_the_array(self, fmt, tmp_path):
+        """The text is written as it is formatted, one row at a time, so the
+        N x N array (4.9 MiB at N = 800) is the only large allocation."""
+        n = 800
+        argv = ("matrix", "--kind", "K", "--a", "0.99", "--d", "0.99", "--n", str(n))
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(*argv, "--format", fmt, "--out", str(tmp_path / "k"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak <= 2 * 8 * n * n
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     def test_unwritable_out_is_two(self, command, tmp_path):
@@ -268,13 +342,15 @@ class TestOutputContracts:
         assert "FAIL" not in out
 
 
-def test_module_entry_point_subprocess():
-    """One end-to-end run through a real process: bytes must equal the golden."""
+@pytest.mark.parametrize("argv,name", GOLDENS, ids=[name for _, name in GOLDENS])
+def test_module_entry_point_subprocess(argv, name):
+    """End-to-end runs through a real process, warnings as errors: the bytes
+    written to stdout must equal the golden."""
     proc = subprocess.run(
-        [sys.executable, "-m", "selfsimspec.cli", "weight", "--n", "3", "--format", "csv"],
+        [sys.executable, "-W", "error", "-m", "selfsimspec.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / "weight_n3.csv").read_text()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_text()

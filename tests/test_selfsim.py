@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,30 @@ class TestWeightTruncation:
         with pytest.raises(ss.OutOfRange):
             ss.weight_truncation(canonical(), 0)
 
+    def test_largest_orders_before_underflow_and_overflow(self):
+        """The refusal is decided from the extreme entries and agrees with the
+        arrays: 0.5^1074 is the least subnormal and 0.5^1075 rounds to 0; the
+        masses 5e307 * 1.5^k leave double range at k = 4 (a RuntimeWarning on
+        the way would fail the test under the pytest configuration)."""
+        assert ss.weight_truncation(canonical(), 1074).gaps[-1] > 0.0
+        with pytest.raises(ss.RangeOverflow, match="a\\^1075 underflows"):
+            ss.weight_truncation(canonical(), 1075)
+        grow = ss.make_params(0.2, 1.5, 1e308, 0.0)
+        assert np.all(np.isfinite(ss.weight_truncation(grow, 4).masses))
+        with pytest.raises(ss.RangeOverflow, match="masses overflow at N = 5"):
+            ss.weight_truncation(grow, 5)
+
+    @pytest.mark.parametrize("build", [ss.weight_truncation, ss.step_function])
+    def test_underflowing_order_refused_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ss.RangeOverflow, match="underflows"):
+                build(canonical(), 20_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_gaps_complement_positions_exactly(self):
         # positions saturate to 1.0 in floating point near order 54; the
         # gaps are the reliable representation and must match while the
@@ -106,6 +132,21 @@ class TestStepFunction:
     def test_outside_domain(self):
         with pytest.raises(ss.OutOfRange):
             ss.step_value(canonical(), -0.1, 5)
+
+
+    def test_overflow_raises_without_warning(self):
+        """Masses that leave double range, and plateau values that do while
+        the masses fit (v_3 = 1e308 + 5e307 + ... > 1.8e308), raise
+        RangeOverflow with no RuntimeWarning on the way."""
+        grow = ss.make_params(0.2, 1.5, 1e308, 0.0)
+        with pytest.raises(ss.RangeOverflow, match="masses overflow at N = 5"):
+            ss.step_function(grow, 5)
+        with pytest.raises(ss.RangeOverflow, match="masses overflow at N = 40"):
+            ss.fixed_point_residual(grow, 40)
+        big = ss.make_params(0.5, 0.5, 1e308, 1e308)
+        assert np.all(np.isfinite(ss.step_function(big, 2).values))
+        with pytest.raises(ss.RangeOverflow, match="plateau values overflow at depth 3"):
+            ss.step_function(big, 3)
 
 
 class TestSimilarityFixedPoint:
