@@ -12,13 +12,14 @@ here therefore works with relative thresholds:
   signs of T - x*diag(m) count the eigenvalues below each probe;
   brackets are isolated on a binary probe grid first, so each spans at
   most a factor of 2 and the iteration cap holds across the full dynamic
-  range, then cut by multisection, many probes per vectorised count
-  (taken a block of rows at a time), until their ends are adjacent
-  doubles; no stop has an absolute term, so eigenvalues near 1e-300 keep
-  their digits. Once most brackets hold one eigenvalue each, narrow
-  against their neighbours, Rayleigh-quotient steps on the twisted
-  factorization (Newton steps on its twist element gamma_r) move their
-  estimates to roundoff in a few sweeps, and one count of a fan of
+  range (one count takes every 32nd grid point, a second only the cells
+  whose count changes), then cut by multisection, many probes per
+  vectorised count (taken a block of rows at a time), until their ends
+  are adjacent doubles; no stop has an absolute term, so eigenvalues
+  near 1e-300 keep their digits. Once most brackets hold one eigenvalue
+  each, narrow against their neighbours, Rayleigh-quotient steps on the
+  twisted factorization (Newton steps on its twist element gamma_r) move
+  their estimates to roundoff in a few sweeps, and one count of a fan of
   probes around each estimate closes most of them at once; the counts
   stay the only judge, and a bracket the steps missed carries on with
   multisection (Dhillon & Parlett, Linear Algebra Appl. 387, 2004);
@@ -27,20 +28,20 @@ here therefore works with relative thresholds:
 * the Green-kernel route, which shares no code with the core: the
   weighted Green matrix W G W = L L^T by LAPACK's Cholesky, then
   L^T sign(M) L by Jacobi, whose eigenvalues are the reciprocals. Each
-  Jacobi step rotates a round of disjoint pairs with
+  Jacobi step rotates a round of disjoint pairs p < q with
   |a_pq| > rot_tol*sqrt|a_pp|*sqrt|a_qq| (rot_tol = max(1e-15, 4*n*eps))
-  until no entry of the matrix exceeds that; a sweep visits the pairs
-  (i, i + s) for s = 1..w, w the widest |p - q| above rot_tol, since a
-  graded matrix's relative couplings die off with |i - j|. A round's
-  rows are strided views of the matrix, rotated in place; its columns
-  rotate as the rows of a transposed copy, one buffer per solve, and the
-  mean of that copy and its transpose symmetrizes where they cross. The
-  result is bit for bit that of gathering and scattering the pairs by
-  index. No product of two entries is formed, and graded positive
-  definite inputs keep high relative accuracy. The route holds
-  _GREEN_BYTES per matrix entry at once, so orders beyond 6553 (for the
-  1 GiB operators._DENSE_BUDGET) are refused before anything is
-  allocated; the eigenvectors likewise beyond 5792 (_PAIRS_BYTES).
+  until no entry above the diagonal exceeds that; a sweep visits the
+  pairs (i, i + s) for s = 1..w, w the widest q - p above rot_tol, since
+  a graded matrix's relative couplings die off with |i - j|. A round
+  is two passes over two buffers: the pairs' rows rotate from one into
+  the other through strided views, the transpose is copied back and its
+  rows rotate again. The matrix is then symmetric to roundoff only, so
+  every test reads the entries above the diagonal. No product of two
+  entries is formed, and graded positive definite inputs keep high
+  relative accuracy. The route holds _GREEN_BYTES per matrix entry at
+  once, so orders beyond 6553 (for the 1 GiB operators._DENSE_BUDGET)
+  are refused before anything is allocated; the eigenvectors likewise
+  beyond 5792 (_PAIRS_BYTES).
 
 Iteration caps (120 bisection steps, 30 Jacobi sweeps) are diagnostics,
 not tunables; no solver takes a tolerance.
@@ -63,7 +64,8 @@ from .errors import (
 from .operators import TridiagonalSymmetric, _check_dense
 
 _PIVMIN = 1e-300
-_BLOCK = 32  # rows per blocked count
+_BLOCK = 32  # rows per block: of a count, of the Jacobi stop test
+_COARSE = 32  # probe grid points per cell of the first count
 _PROBE_BUDGET = 1024  # multisection probes per count
 _MU_GUARD = 1e-290
 _BISECT_CAP = 120
@@ -111,11 +113,11 @@ class EigenvalueList:
 
     residual_bound is relative: for bisection the widest final bracket
     over max(|lo|, |hi|), at most eps, since brackets close to adjacent
-    doubles; for Jacobi the largest |a_ij| / (sqrt|a_ii| * sqrt|a_jj|)
-    left. dropped counts eigenvalues beyond 1/_MU_GUARD (for Green,
+    doubles; for Jacobi the largest |a_ij| / (sqrt|a_ii| * sqrt|a_jj|),
+    i < j, left. dropped counts eigenvalues beyond 1/_MU_GUARD (for Green,
     reciprocals below _MU_GUARD), which are excluded rather than reported.
     passes is the work done: inertia-count passes for bisection, the probe
-    grid's count included, and sweeps for Jacobi.
+    grid's counts included, and sweeps for Jacobi.
     """
 
     values: np.ndarray
@@ -321,114 +323,130 @@ def _probe_grid(glo: float, ghi: float) -> np.ndarray:
     return np.unique(np.concatenate(probes))
 
 
-def _ratios(A: np.ndarray) -> np.ndarray:
-    """|a_ij| / max(sqrt|a_ii| * sqrt|a_jj|, tiny) in one buffer, zero diagonal; NaN stays NaN."""
+def _grid_counts(diag, off, mass, grid: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """_counts_below at every point of the ascending grid and at 0.0, in one count or two.
+
+    The first probes every _COARSE-th grid point, the last, any at 0.0, and 0.0. Counts are
+    monotone, so a cell whose ends agree holds their count; the second probes the interior
+    of the other cells, if they have any. Returns (counts, count at 0.0, counts taken).
+    """
+    coarse = np.unique(np.r_[: len(grid) : _COARSE, len(grid) - 1, np.flatnonzero(grid == 0.0)])
+    first = _counts_below(diag, off, mass, np.append(grid[coarse], 0.0))
+    counts = np.repeat(first[:-1], np.diff(coarse, append=len(grid)))  # a cell's left end's
+    changed = np.repeat(np.diff(first[:-1]) != 0, np.diff(coarse))  # per point but the last
+    changed[coarse[:-1]] = False
+    fine = np.flatnonzero(changed)
+    if len(fine):
+        counts[fine] = _counts_below(diag, off, mass, grid[fine])
+    return counts, int(first[-1]), 1 + bool(len(fine))
+
+
+def _couplings(A: np.ndarray, rot_tol: float) -> tuple[float, int]:
+    """The largest |a_pq| / max(sqrt|a_pp| * sqrt|a_qq|, tiny), p < q (NaN if one is), and
+    the widest q - p above rot_tol (0 if none), _BLOCK rows at a time.
+
+    Only p < q is read, as by _band_round's rotation test: A is symmetric to roundoff only,
+    and a pair the stop test saw above rot_tol but its round declined would sweep to the cap.
+    """
+    n = A.shape[0]
     root = np.sqrt(np.abs(np.diagonal(A)))
-    buf = np.multiply.outer(root, root)
-    np.maximum(buf, np.finfo(float).tiny, out=buf)  # 0/0 reads 0, never NaN
-    np.abs(np.divide(A, buf, out=buf), out=buf)
-    np.fill_diagonal(buf, 0.0)
-    return buf
-
-
-def _band(big: np.ndarray) -> int:
-    """The widest |p - q| over the True entries of the symmetric big, 0 if there are none."""
-    n = big.shape[0]
-    last = n - 1 - np.argmax(big[:, ::-1], axis=1)  # each row's last True column
-    return int(np.max(last - np.arange(n), where=big.any(axis=1), initial=0))
+    tops, band = [0.0], 0
+    for b in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - b)
+        r = np.multiply.outer(root[b : b + k], root[b:])  # rows b.., columns b..
+        np.maximum(r, np.finfo(float).tiny, out=r)
+        np.abs(np.divide(A[b : b + k, b:], r, out=r), out=r)
+        r[:, :k] = np.triu(r[:, :k], 1)
+        tops.append(r.max())
+        rows, cols = np.nonzero(r > rot_tol)
+        band = max(band, int(np.max(cols - rows, initial=0)))
+    return float(np.max(tops)), band
 
 
 def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Eigenvalues (ascending) of the exactly symmetric A, overwritten; max _ratios; sweeps.
+    """Eigenvalues (ascending) of the symmetric A, overwritten; the largest ratio left; sweeps.
 
-    Each sweep takes the _ratios of A once: their maximum is the stop test (<= rot_tol), and
-    the widest |p - q| among pairs above rot_tol is the band w. The sweep rotates the rounds
-    (s, o) for s = 1..w, o = 0 then s, so every pair above rot_tol at the start of a sweep
-    is visited in it, nearest neighbours first, where a graded matrix has its largest
-    relative couplings.
+    Each sweep takes _couplings once: the largest ratio is the stop test (<= rot_tol), and
+    the band w bounds the sweep, which rotates the rounds (s, o) for s = 1..w, o = 0 then s,
+    so every pair above rot_tol at the start of a sweep is visited in it, nearest neighbours
+    first, where a graded matrix has its largest relative couplings. A round writes the
+    rotated matrix into the other of two buffers.
     """
     n = A.shape[0]
     rot_tol = max(1e-15, 4 * n * _EPS)
-    B = np.empty_like(A)  # each round's transposed copy of A
+    B = np.empty_like(A)
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(_SWEEP_CAP + 1):
-            ratios = _ratios(A)
-            rel = float(ratios.max(initial=0.0))
+            rel, w = _couplings(A, rot_tol)
             if not rel > rot_tol or sweep == _SWEEP_CAP:  # converged, NaN, or the cap
                 break
-            w = _band(ratios > rot_tol)
-            del ratios  # else it stays beside the next sweep's, one more n x n array
             for s in range(1, min(w, n - 1) + 1):
                 for o in (0, s) if 2 * s < n else (0,):  # (s, s) is empty unless 2s < n
-                    _band_round(A, B, s, o, rot_tol)
+                    if _band_round(A, B, s, o, rot_tol):
+                        A, B = B, A
     if not rel <= rot_tol:  # NaN included
         raise NonConvergence(f"Jacobi sweep cap {_SWEEP_CAP} reached")
     return np.sort(np.diagonal(A)), rel, sweep
 
 
-def _band_round(A: np.ndarray, B: np.ndarray, s: int, o: int, rot_tol: float) -> None:
+def _band_round(A: np.ndarray, B: np.ndarray, s: int, o: int, rot_tol: float) -> bool:
     """Rotate the pairs (i, i + s), i in the length-s blocks at o, o + 2s, ..., above rot_tol.
 
-    The pairs of a round are disjoint. A pair's ratio is computed as in _ratios; pairs at or
-    below rot_tol get t = 0, whose rotation leaves their entries as they are. Rows rotate
-    in place through strided views of A (see _turn_rows). Columns rotate as the rows of B,
-    A's transposed copy, and A = (B + B^T) / 2: on the block where rotated rows and columns
-    cross that is the symmetrization, and every other entry is already exactly symmetric and
-    reads back unchanged, so A stays exactly symmetric and the stop test agrees with the
-    rotation test entry for entry. Rutishauser updates the diagonal.
+    Returns whether any pair was; B then holds the rotated matrix and A is spent. The pairs
+    are disjoint, their ratios read a_pq, p < q, and those at or below rot_tol get t = 0,
+    which copies their rows. A's rows rotate into B, B^T is copied into A, and A's rows
+    rotate into B again: B = R A^T R^T, symmetric to roundoff where rotated rows and columns
+    cross. Rutishauser updates the diagonal; rotated pairs' a_pq and a_qp become zero.
     """
     n = A.shape[0]
-    blocks, rest = divmod(n - o, 2 * s)  # whole blocks, rows after them
-    tail = max(0, rest - s)  # pairs of the partial block
-    j = np.arange(blocks * s + tail)
-    p = o + j + s * (j // s)  # pair j lies in block j // s
-    ix = np.add.outer(np.array((0, s * (n + 1), s, s * n)), p * (n + 1))  # a_pp, a_qq, a_pq, a_qp
-    flat = A.reshape(-1)
-    app, aqq, apq = flat[ix[:3]]
+    blocks, rest = divmod(n - o, 2 * s)
+    last, tail = o + 2 * s * blocks, max(0, rest - s)
+    parts = [x for x in ((o, blocks, s), (last, 1, tail)) if x[1] * x[2] > 0]
+    if not parts:
+        return False
+    pair = (n + 1, (2, 2), (s * n, s))  # each pair's [[a_pp, a_pq], [a_qp, a_qq]]
+    before = _pair_views(A, s, parts, *pair)
+    app, apq, aqp, aqq = np.concatenate([v.reshape(-1, 4) for v in before]).T
     big = np.abs(apq) / (np.sqrt(np.abs(app)) * np.sqrt(np.abs(aqq))) > rot_tol
     if not big.any():
-        return
-    ix, app, aqq, apq = ix[:, big], app[big], aqq[big], apq[big]
+        return False
     # t = tan of the angle that zeroes a_pq, the root of magnitude <= 1
-    diff, twice = aqq - app, 2.0 * apq
-    t = np.zeros(len(p))
+    diff, twice = aqq[big] - app[big], 2.0 * apq[big]
+    t = np.zeros(len(big))
     t[big] = twice / (diff + np.copysign(np.hypot(diff, twice), diff))
     c = 1.0 / np.hypot(1.0, t)
     rot = np.array((c, -t * c, t * c, c)).T.reshape(-1, 2, 2)
-    _turn_rows(A, B, rot, s, o, blocks, tail)
-    np.copyto(B, A.T)
-    _turn_rows(B, A, rot, s, o, blocks, tail)
-    np.copyto(A, B.T)  # then A + B: a transposed copy is cheaper than a transposed add
-    A += B
-    A *= 0.5
-    t = t[big]
-    flat[ix[0]] = app - t * apq
-    flat[ix[1]] = aqq + t * apq
-    flat[ix[2:]] = 0.0
+    # each pair's block after the round; an unrotated one is A's transposed, as in R A^T R^T
+    new = np.array((app - t * apq, aqp, apq, aqq + t * apq)).T
+    new[big, 1:3] = 0.0
+    src, dst = (_pair_views(X, s, parts, n, (2, n), (s * n, 1)) for X in (A, B))
+    copied = [(lo, hi) for lo, hi in ((0, o), (last + tail, min(n, last + s))) if lo < hi]
+    k = parts[0][1] * parts[0][2]  # the pairs of the first part
+    for turn in range(2):
+        if turn:
+            np.copyto(A, B.T)
+        for x, y, r in zip(src, dst, (rot[:k], rot[k:])):
+            np.matmul(r.reshape(x.shape[:2] + (2, 2)), x, out=y)
+        for lo, hi in copied:  # the rows no pair holds
+            B[lo:hi] = A[lo:hi]
+    for v, x in zip(_pair_views(B, s, parts, *pair), (new[:k], new[k:])):
+        v[...] = x.reshape(v.shape)
+    return True
 
 
-def _turn_rows(
-    X: np.ndarray, scratch: np.ndarray, rot: np.ndarray, s: int, o: int, blocks: int, tail: int
-) -> None:
-    """Rows p, p + s of X <- rot[k] @ (row p, row p + s) for the k-th pair p of a round, in place.
-
-    The whole blocks and the partial one are each count blocks of width pairs, a block every
-    2s rows from first: a strided view of X of shape (count, width, p or q, column), no copy.
-    The products pass through scratch, an array of X's size whose contents are not needed.
-    """
-    n, (row, col) = X.shape[1], X.strides
-    for first, count, width, r in ((o, blocks, s, rot[: blocks * s]),
-                                   (o + 2 * s * blocks, 1, tail, rot[blocks * s :])):
-        if count * width:
-            shape = (count, width, 2, n)
-            rows = np.ndarray(shape, X.dtype, X, first * row, (2 * s * row, row, s * row, col))
-            prod = scratch.reshape(-1)[: count * width * 2 * n].reshape(shape)
-            rows[...] = np.matmul(r.reshape(count, width, 2, 2), rows, out=prod)
+def _pair_views(X: np.ndarray, s: int, parts, step: int, inner=(), inner_strides=()) -> list:
+    """Views of X at p*step, shape (count, width) + inner, for each part of a round: the pairs
+    p = first + 2s*i + j, i < count, j < width. step and inner_strides count entries."""
+    size = X.itemsize
+    strides = tuple(size * k for k in (2 * s * step, step) + inner_strides)
+    return [np.ndarray((count, width) + inner, X.dtype, X, size * first * step, strides)
+            for first, count, width in parts]
 
 
 # Bytes per matrix entry the Green route holds at once: G, LAPACK's copy of it and L in the
-# Cholesky, then G's buffer, L and L^T S L, then in Jacobi A, its transposed copy B, the ratios
-# (float64 each) and the ratios' mask above rot_tol (bool); orders up to 6553 for 1 GiB.
+# Cholesky, then G's buffer, L and L^T S L, then in Jacobi A and B (float64 each), 24 in all;
+# the stop test's row blocks and the rounds' per-pair arrays fit in the 25th. Orders up to
+# 6553 for 1 GiB.
 _GREEN_BYTES = 25
 
 
@@ -454,9 +472,10 @@ def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"weighted Green matrix: {exc}") from None
     T = L.T @ np.multiply(np.sign(masses)[:, None], L, out=H)
+    del L
     np.add(T, T.T, out=H)
     H *= 0.5
-    del L, T
+    del T
     mu, rel, sweeps = _jacobi(H)
     keep = np.abs(mu) >= _MU_GUARD
     if not keep.any():
@@ -517,9 +536,10 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
 
     The brackets come from Gershgorin on sign(M) |M|^(-1/2) K |M|^(-1/2),
     cut to |lambda| <= 1/_MU_GUARD; eigenvalues beyond that are counted in
-    dropped. One count over the _probe_grid gives the kept index range, the
+    dropped. The counts over the _probe_grid (_grid_counts: a coarse count,
+    then one of the cells whose count changes) give the kept index range, the
     brackets and, when a mass is negative (only then does the count need K
-    positive definite), K's inertia from one extra probe at 0. Each bracket
+    positive definite), K's inertia from the first count's probe at 0. Each bracket
     is cut into 2^b equal parts per step, all in one vectorised count (b
     grows as fewer brackets remain: a count costs mostly per row, not per
     probe), until its ends are adjacent doubles.
@@ -540,11 +560,9 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
     glo, ghi = np.clip(_gershgorin(K.diag, K.offdiag, M), -1.0 / _MU_GUARD, 1.0 / _MU_GUARD)
     probes = _probe_grid(glo, ghi)
     n_neg = int(np.sum(M < 0.0))
-    counts = _counts_below(K.diag, K.offdiag, M, np.append(probes, 0.0) if n_neg else probes)
-    if n_neg:
-        counts, at_zero = counts[:-1], counts[-1]
-        if at_zero != n_neg:
-            raise NotPositiveDefinite("stiffness matrix has a negative eigenvalue")
+    counts, at_zero, passes = _grid_counts(K.diag, K.offdiag, M, probes)
+    if n_neg and at_zero != n_neg:
+        raise NotPositiveDefinite("stiffness matrix has a negative eigenvalue")
     k1, k2 = int(counts[0]), int(counts[-1])
     if k2 <= k1:
         raise ZeroEigenvalue("every eigenvalue lies beyond the range guard")
@@ -554,7 +572,6 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
 
     active = np.ones(len(idxs), dtype=bool)
     fresh = np.ones(len(idxs), dtype=bool)  # no correction has served the bracket
-    passes = 1
     for _ in range(_BISECT_CAP):
         act = np.flatnonzero(active)
         if not len(act):

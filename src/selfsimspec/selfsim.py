@@ -97,7 +97,8 @@ def make_params(a: float, d: float, beta1: float, beta2: float) -> SelfSimilarPa
     Raises
     ------
     OutOfRange
-        a outside (0, 1), or any input not finite.
+        a outside (0, 1), any input not finite, or d*beta1 + beta2 - beta1
+        (and so r) overflowing.
     NotContractive
         a*d**2 >= 1, where the similarity map stops being a contraction.
     DegenerateWeight
@@ -118,6 +119,8 @@ def make_params(a: float, d: float, beta1: float, beta2: float) -> SelfSimilarPa
         raise DegenerateWeight("d*beta1 + beta2 - beta1 = 0, all masses vanish")
     q = 1.0 / (a * d)
     r = (1.0 - a) * jump
+    if not math.isfinite(r):  # the jump overflowed
+        raise OutOfRange(f"d*beta1 + beta2 - beta1 overflows: {jump!r}")
     # |q| > 1 is implied: a*|d| = sqrt(a * a*d**2) < sqrt(a) < 1.
     n_gap = math.floor(math.log(_GAP_FLOOR) / math.log(a))
     n_entry = math.floor(math.log(_ENTRY_CEIL) / math.log(abs(q)))

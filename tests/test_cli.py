@@ -143,6 +143,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("RangeOverflow: masses overflow")
 
+    @pytest.mark.parametrize("command", ["matrix", "weight"])
+    def test_overflowing_jump_is_two(self, command):
+        """d*beta1 + beta2 - beta1 = 2e308 overflows: the parameters are refused with
+        exit 2 before any command runs; matrix printed "r": Infinity and exited 0."""
+        code, out, err = run_cli(command, "--d", "0.5", "--beta1", "-1e308",
+                                 "--beta2", "1.5e308", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "d*beta1 + beta2 - beta1 overflows" in err
+
     def test_underflowing_weight_is_three_before_allocating(self):
         """0.5^20000000 underflows: refused before arrays of 20 million entries exist."""
         tracemalloc.start()

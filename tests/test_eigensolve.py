@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,58 @@ class TestBlockedCount:
         self._check(diag, off, mass, xs, 2, [np.nan, pivs[2][1]])
 
 
+class TestGridCounts:
+    """_grid_counts counts a coarse grid first and then only the interior of the
+    cells whose count changes; the counts are monotone, so every count equals
+    the full grid's exactly."""
+
+    @staticmethod
+    def _check(diag, off, mass):
+        guard = 1.0 / eigensolve._MU_GUARD
+        grid = eigensolve._probe_grid(*np.clip(eigensolve._gershgorin(diag, off, mass),
+                                               -guard, guard))
+        counts, at_zero, taken = eigensolve._grid_counts(diag, off, mass, grid)
+        full = eigensolve._counts_below(diag, off, mass, np.append(grid, 0.0))
+        np.testing.assert_array_equal(counts, full[:-1])
+        assert at_zero == full[-1] and taken in (1, 2)
+        return grid
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.booleans(), st.booleans())
+    @example(0, 1, False, False)
+    @example(1, 40, True, False)
+    @example(2, 97, False, True)
+    @settings(deadline=None, max_examples=60)
+    def test_equals_the_full_grid(self, seed, n, signed, tiny):
+        """Graded over hundreds of decades. With masses of both signs K is positive
+        definite, as the count needs; with positive masses K is indefinite, so 0.0 is a
+        grid point. tiny takes some scales down to 1e-160, where d_i is subnormal and the
+        pivots fall below _PIVMIN and clamp."""
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal(n - 1)
+        k0 = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e)) + rng.uniform(0.1, 1.0, n)
+        if not signed:
+            k0 *= rng.choice((-1.0, 1.0), n)
+        scale = 10.0 ** rng.uniform(-140.0, 140.0, n)
+        if tiny:
+            scale[rng.random(n) < 0.3] = 1e-160
+        diag, off = k0 * scale**2, e * scale[:-1] * scale[1:]
+        mass = 10.0 ** rng.uniform(-20.0, 20.0, n)
+        if signed:
+            mass[rng.random(n) < 0.5] *= -1.0
+        self._check(diag, off, mass)
+
+    def test_zero_pivot_at_zero(self):
+        """Row 40 is decoupled with d = 0: its pivot at the grid point 0.0 is exactly
+        zero and clamps to +_PIVMIN, so its eigenvalue 0 is not counted below 0.0."""
+        n = 80
+        rng = np.random.default_rng(7)
+        diag = rng.standard_normal(n) * 10.0 ** rng.uniform(-100.0, 100.0, n)
+        off = rng.standard_normal(n - 1)
+        diag[40], off[39], off[40] = 0.0, 0.0, 0.0
+        grid = self._check(diag, off, np.ones(n))
+        assert 0.0 in grid and len(grid) > 10 * eigensolve._COARSE
+
+
 class TestTridiagEigs:
     def test_two_by_two_closed_form(self):
         got = ss.tridiag_eigs(ss.symmetrized_section(P, 2)).values
@@ -246,8 +299,8 @@ class TestSolvePencil:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_probe_grid_is_counted_once(self, sign, monkeypatch):
         """The kept index range, the brackets and (with negative masses) the
-        positive definite test all come from one count of the probe grid;
-        only that count probes the Gershgorin ends or zero."""
+        positive definite test all come from the probe grid's counts, coarse
+        then fine; only the first probes the Gershgorin ends or zero."""
         calls = []
         counts_below = eigensolve._counts_below
 
@@ -261,6 +314,25 @@ class TestSolvePencil:
         ss.solve_pencil(ss.PencilProblem(K, M, 60))
         glo, ghi = eigensolve._gershgorin(K.diag, K.offdiag, M)
         assert [i for i, xs in enumerate(calls) if np.isin([glo, ghi, 0.0], xs).any()] == [0]
+
+    def test_canonical_grid_stage_probes_few_points(self, monkeypatch):
+        """The canonical fem grid at N = 300 has 3192 points, ~600 of them where
+        eigenvalues lie: its two counts probe at most 1000, and passes is the
+        number of counts the solve takes, these two included."""
+        w = ss.weight_truncation(P, 300)
+        K, M = ss.stiffness_matrix(w), ss.mass_matrix(w)
+        guard = 1.0 / eigensolve._MU_GUARD
+        grid = eigensolve._probe_grid(*np.clip(eigensolve._gershgorin(K.diag, K.offdiag, M),
+                                               -guard, guard))
+        calls = []
+        counts_below = eigensolve._counts_below
+        monkeypatch.setattr(eigensolve, "_counts_below",
+                            lambda *a: calls.append(len(a[3])) or counts_below(*a))
+        counts, _, taken = eigensolve._grid_counts(K.diag, K.offdiag, M, grid)
+        assert len(grid) == 3192 and taken == len(calls) == 2 and sum(calls) <= 1000
+        np.testing.assert_array_equal(counts, counts_below(K.diag, K.offdiag, M, grid))
+        calls.clear()
+        assert ss.solve_pencil(ss.PencilProblem(K, M, 300)).passes == len(calls)
 
     def test_underflowing_masses_are_dropped(self):
         K = _tridiag([1.0, 1.0], [0.0])
@@ -438,31 +510,30 @@ def _round_pairs(n, s, o):
 
 
 def _fancy_round(A, pq, rot_tol):
-    """The round as fancy-index gathers and scatters, the reference for the
-    strided-view round: rotate the pairs pq whose ratio exceeds rot_tol,
-    the rows and columns written from the same rotated rows and their
-    crossing block symmetrized; Rutishauser diagonal updates."""
-    n, (p, q) = A.shape[0], pq.T
-    ix = np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))  # a_pp, a_qq, a_pq, a_qp
-    flat = A.reshape(-1)
-    app, aqq, apq = x = flat[ix[:3]]
+    """The round as fancy-index gathers and scatters, the reference for the strided-view
+    round: rotate the rows of the pairs pq whose ratio a_pq (p < q) exceeds rot_tol, then
+    the rows of the transpose of the result, with no mean; Rutishauser diagonal updates,
+    and the rotated pairs' a_pq and a_qp set to zero. Returns the rotated matrix, or None
+    when no pair exceeds rot_tol."""
+    p, q = pq.T
+    app, aqq, apq = A[p, p], A[q, q], A[p, q]
     big = np.abs(apq) / (np.sqrt(np.abs(app)) * np.sqrt(np.abs(aqq))) > rot_tol
     if not big.any():
-        return
-    pq, ix, (app, aqq, apq) = pq[big], ix[:, big], x[:, big]
+        return None
+    pq, (p, q), app, aqq, apq = pq[big], pq[big].T, app[big], aqq[big], apq[big]
     diff, twice = aqq - app, 2.0 * apq
     t = twice / (diff + np.copysign(np.hypot(diff, twice), diff))
     c = 1.0 / np.hypot(1.0, t)
     rot = np.stack((c, -t * c, t * c, c), axis=1).reshape(-1, 2, 2)
     pairs = pq.ravel()  # p0, q0, p1, q1, ...
-    rows = np.matmul(rot, A[pq]).reshape(len(pairs), -1)
-    block = (rot @ rows[:, pq].transpose(1, 2, 0)).reshape(len(pairs), -1)
-    rows[:, pairs] = 0.5 * (block + block.T)
-    A[pairs] = rows
-    A[:, pairs] = rows.T
-    flat[ix[0]] = app - t * apq
-    flat[ix[1]] = aqq + t * apq
-    flat[ix[2:]] = 0.0
+    rows = A.copy()
+    rows[pairs] = np.matmul(rot, A[pq]).reshape(len(pairs), -1)
+    out = rows.T.copy()
+    out[pairs] = np.matmul(rot, out[pq]).reshape(len(pairs), -1)
+    out[p, p] = app - t * apq
+    out[q, q] = aqq + t * apq
+    out[p, q] = out[q, p] = 0.0
+    return out
 
 
 class TestDenseJacobi:
@@ -542,24 +613,60 @@ class TestDenseJacobi:
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_view_round_equals_the_fancy_index_round(self, n):
-        """Every round (s, o) of a random symmetric matrix, some of its pairs
-        below rot_tol, partial blocks and s > n/2 included: the strided-view
-        round gives exactly the fancy-index round's matrix."""
+        """Every round (s, o) of a random matrix symmetric to roundoff, some of
+        its pairs below rot_tol, partial blocks and s > n/2 included: the
+        strided-view round gives exactly the fancy-index round's matrix, and
+        leaves A as it was when no pair is above rot_tol."""
         rng = np.random.default_rng(n)
         rot_tol = max(1e-15, 4 * n * np.finfo(float).eps)
         for s in range(1, n):
             for o in (0, s):
                 X = rng.standard_normal((n, n)) * np.exp(rng.uniform(-5.0, 5.0, n))
                 A = X + X.T
+                A[np.tril_indices(n, -1)] *= 1.0 + rng.integers(-2, 3, n * (n - 1) // 2) * 2.0**-52
                 pq = _round_pairs(n, s, o)
                 p, q = pq.T
                 low = rng.random(len(p)) < 0.3
                 tiny = 0.5 * rot_tol * np.sqrt(np.abs(A[p, p])) * np.sqrt(np.abs(A[q, q]))
                 A[p[low], q[low]] = A[q[low], p[low]] = tiny[low]
-                want, got = A.copy(), A.copy()
-                _fancy_round(want, pq, rot_tol)
-                eigensolve._band_round(got, np.empty_like(got), s, o, rot_tol)
-                np.testing.assert_array_equal(got, want)
+                want, got, out = _fancy_round(A, pq, rot_tol), A.copy(), np.empty_like(A)
+                if eigensolve._band_round(got, out, s, o, rot_tol):
+                    np.testing.assert_array_equal(out, want)
+                else:
+                    assert want is None
+                    np.testing.assert_array_equal(got, A)
+
+    @pytest.mark.parametrize("above", ["a_pq", "a_qp"])
+    def test_pair_straddling_rot_tol_at_roundoff(self, above):
+        """A rotated matrix is symmetric to roundoff only, so a_pq and a_qp can lie an ulp
+        apart on either side of rot_tol. The stop test and the rotation test both read
+        a_pq: the solve rotates the pair or stops, and never sweeps to the cap over a pair
+        that its round declines."""
+        rot_tol = max(1e-15, 8 * np.finfo(float).eps)
+        up = np.nextafter(rot_tol, 1.0)  # ratio |a_01| / (sqrt(1) * sqrt(1)) just above rot_tol
+        A = np.eye(2)
+        A[0, 1], A[1, 0] = (up, rot_tol) if above == "a_pq" else (rot_tol, up)
+        vals, rel, sweeps = _jacobi(A)
+        rotated = above == "a_pq"
+        assert rel <= rot_tol and sweeps == int(rotated)
+        np.testing.assert_allclose(vals, [1.0 - up, 1.0 + up] if rotated else [1.0, 1.0],
+                                   rtol=1e-15)
+
+    def test_green_peak_memory_is_within_its_budget(self):
+        """Under tracemalloc a Green solve at N = 300, its input buffer G included, holds at
+        most _GREEN_BYTES per entry at once: no n x n transient beyond three arrays and no
+        cache in the Jacobi rounds. (LAPACK's working copy in the Cholesky is not traced;
+        the budget counts it beside G and L.)"""
+        N = 300
+        w = ss.weight_truncation(P, N)
+        G = ss.green_kernel_matrix(w) / w.masses
+        tracemalloc.start()
+        try:
+            ss.solve_green(G, w.masses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.nbytes + peak <= eigensolve._GREEN_BYTES * N * N
 
     def test_canonical_green_rotates_in_few_rounds(self, monkeypatch):
         """At the canonical N = 300 every rotated pair has |p - q| <= 26, so

@@ -37,6 +37,13 @@ class TestMakeParams:
         with pytest.raises(ss.NotContractive, match="contraction"):
             ss.make_params(0.5, 2.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("d,beta1,beta2", [(0.5, -1e308, 1.5e308), (-0.5, 1.5e308, -1e308)])
+    def test_overflowing_jump_rejected(self, d, beta1, beta2):
+        """d*beta1 + beta2 - beta1 = 2e308 (or -3.25e308) leaves double range, so r would be
+        infinite."""
+        with pytest.raises(ss.OutOfRange, match="overflows"):
+            ss.make_params(0.5, d, beta1, beta2)
+
     def test_zero_jump_degenerate(self):
         # d*beta1 + beta2 - beta1 = 0.5 + 0.5 - 1 = 0
         with pytest.raises(ss.DegenerateWeight):
