@@ -16,13 +16,13 @@ here therefore works with relative thresholds:
   whose count changes), then cut by multisection, many probes per
   vectorised count (taken a block of rows at a time), until their ends
   are adjacent doubles; no stop has an absolute term, so eigenvalues
-  near 1e-300 keep their digits. Once most brackets hold one eigenvalue
-  each, narrow against their neighbours, Rayleigh-quotient steps on the
-  twisted factorization (Newton steps on its twist element gamma_r) move
-  their estimates to roundoff in a few sweeps, and one count of a fan of
-  probes around each estimate closes most of them at once; the counts
-  stay the only judge, and a bracket the steps missed carries on with
-  multisection (Dhillon & Parlett, Linear Algebra Appl. 387, 2004);
+  near 2.2e-308 keep their digits. Once most brackets hold one eigenvalue
+  each, narrow against their neighbours, at any order, Rayleigh-quotient
+  steps on the twisted factorization (Newton steps on its twist element
+  gamma_r) move their estimates to roundoff in a few sweeps, and one count
+  of a fan of probes around each estimate closes most of them at once; the
+  counts stay the only judge, and a bracket the steps missed carries on
+  with multisection (Dhillon & Parlett, Linear Algebra Appl. 387, 2004);
 * twisted LDL^T factorizations, O(N) each, one helper for those steps
   and for the pencil eigenvectors;
 * the Green-kernel route, which shares no code with the core: the
@@ -73,15 +73,14 @@ _SWEEP_CAP = 30
 _EPS = np.finfo(float).eps
 # The Rayleigh-quotient stage (see solve_pencil): a bracket qualifies when its width is at
 # most _RQ_NARROW of the gap to its neighbours; a batch runs once _RQ_SHARE of the open
-# brackets, and at least _RQ_MIN, qualify (a sweep costs per row, like a count, so serving
-# fewer brackets than that costs more than the multisection it saves); steps stop below
-# _RQ_STOP relative, at _RQ_CAP, or with fewer than _RQ_MIN still moving; the fan probes x
-# and x*(1 + _FAN); a sweep's kept pivots and sums take at most _TWIST_BUDGET bytes.
+# brackets qualify, at any order (a sweep costs per row, like a count, and a few take most
+# estimates to roundoff, where multisection gains at most 6 bits a count); each estimate
+# steps until a step is below _RQ_STOP relative, it leaves its bracket, or _RQ_CAP; the fan
+# probes x and x*(1 + _FAN); a sweep's kept pivots and sums take at most _TWIST_BUDGET bytes.
 _RQ_NARROW = 1.0 / 8.0
 _RQ_SHARE = 0.9
 _RQ_STOP = 1e-8
 _RQ_CAP = 8
-_RQ_MIN = 64
 _FAN = np.array([-64.0, -16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0]) * _EPS
 _TWIST_BUDGET = 2**26
 
@@ -308,14 +307,16 @@ def _probe_grid(glo: float, ghi: float) -> np.ndarray:
     """Binary grid over the Gershgorin interval, refined toward zero.
 
     Halving toward zero from each endpoint isolates eigenvalues of either
-    sign across the full dynamic range: every bracket taken from this grid
-    spans a factor of at most 2 or ends at zero below |x| = 2e-300, so the
-    multisection steps needed do not depend on the eigenvalue's magnitude.
-    Halving is exact above the floor; the halvings a side needs come from
-    log2 of its ends, since their ratio can overflow.
+    sign across the full dynamic range: each side halves down to the other
+    end or to a point at or below the smallest normal double, 2.2e-308, so
+    every bracket taken from this grid spans a factor of at most 2 or ends
+    at zero below that, and the multisection steps needed do not depend on
+    the eigenvalue's magnitude. Halving is exact above it; the halvings a
+    side needs come from log2 of its ends, since their ratio can overflow.
     """
     probes = [np.array([glo, ghi, 0.0] if glo < 0.0 < ghi else [glo, ghi])]
-    for t, bound in ((ghi, max(glo, _PIVMIN)), (glo, min(ghi, -_PIVMIN))):
+    tiny = np.finfo(float).tiny
+    for t, bound in ((ghi, max(glo, tiny / 2)), (glo, min(ghi, -tiny / 2))):
         if math.copysign(1.0, bound) * t > 0.0:  # ghi > 0, or glo < 0
             k = max(0, int(math.log2(abs(t)) - math.log2(abs(bound))) + 2)
             side = np.ldexp(t, -np.arange(1, k + 1))
@@ -502,12 +503,11 @@ def _rayleigh(K: TridiagonalSymmetric, M: np.ndarray, los, his) -> np.ndarray:
     """Rayleigh-quotient corrections from the bracket midpoints, NaN where they miss.
 
     Each step moves x to the Rayleigh quotient of the twisted vector at x
-    (see _twist), a Newton step on gamma_r. Steps repeat for the brackets
-    still moving until a step is below _RQ_STOP relative (the convergence
-    is quadratic, so the next would be below roundoff), the cap of _RQ_CAP
-    steps, or fewer than _RQ_MIN still move; those keep their last x. A step
-    that leaves its bracket leaves NaN. The factorizations take at most
-    _TWIST_BUDGET bytes at once, so many brackets go in chunks.
+    (see _twist), a Newton step on gamma_r. Each estimate steps until a step
+    is below _RQ_STOP relative (the convergence is quadratic, so the next
+    would be below roundoff) or leaves its bracket, which leaves NaN; those
+    still moving after _RQ_CAP steps keep their last x. The factorizations
+    take at most _TWIST_BUDGET bytes at once, so many brackets go in chunks.
     """
     x = 0.5 * los + 0.5 * his
     est = np.full(len(x), np.nan)
@@ -525,7 +525,7 @@ def _rayleigh(K: TridiagonalSymmetric, M: np.ndarray, los, his) -> np.ndarray:
         est[live[done]] = new[done]
         x[live] = new
         live = live[inside & ~done]
-        if len(live) < _RQ_MIN:
+        if not len(live):
             break
     est[live] = x[live]
     return est
@@ -544,16 +544,16 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
     grows as fewer brackets remain: a count costs mostly per row, not per
     probe), until its ends are adjacent doubles.
 
-    Twisted Rayleigh-quotient stage: once at least _RQ_SHARE (and
-    _RQ_MIN) of the open brackets no correction has served are _isolated
-    (one eigenvalue each, narrow against their neighbours), those brackets
-    get _rayleigh's corrections, all in one batch, and the same pass's count
-    probes a fan around each estimate x: x itself and x*(1 -+ {1, 4, 16,
-    64}*eps). The counts stay the only judge. The fan's counts cut the
-    bracket at the change of count nearest x (where roundoff makes the count
-    non-monotone over a few ulps, the one multisection would find can lie
-    elsewhere in that range), so an estimate within an ulp closes its
-    bracket at once; a bracket the corrections missed carries on with
+    Twisted Rayleigh-quotient stage, at every order: once at least _RQ_SHARE
+    of the open brackets no correction has served, and at least one, are
+    _isolated (one eigenvalue each, narrow against their neighbours), those
+    brackets get _rayleigh's corrections, all in one batch, and the same
+    pass's count probes a fan around each estimate x: x itself and x*(1 -+
+    {1, 4, 16, 64}*eps). The counts stay the only judge. The fan's counts
+    cut the bracket at the change of count nearest x (where roundoff makes
+    the count non-monotone over a few ulps, the one multisection would find
+    can lie elsewhere in that range), so an estimate within an ulp closes
+    its bracket at once; a bracket the corrections missed carries on with
     multisection. Every bracket still ends at adjacent doubles.
     """
     K, M = p.K, p.M
@@ -577,13 +577,12 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
         if not len(act):
             break
         fan = act[:0]  # brackets whose estimate this count fans out around
-        if (n_open := np.count_nonzero(fresh[act])) >= _RQ_MIN:
-            ready = np.flatnonzero(fresh & active & _isolated(los, his))
-            if len(ready) >= max(_RQ_MIN, _RQ_SHARE * n_open):
-                fresh[ready] = False
-                est = _rayleigh(K, M, los[ready], his[ready])
-                fan, est = ready[np.isfinite(est)], est[np.isfinite(est), None]
-                act = act[~np.isin(act, fan)]
+        ready = np.flatnonzero(fresh & active & _isolated(los, his))
+        if len(ready) >= max(1, _RQ_SHARE * np.count_nonzero(fresh[act])):
+            fresh[ready] = False
+            est = _rayleigh(K, M, los[ready], his[ready])
+            fan, est = ready[np.isfinite(est)], est[np.isfinite(est), None]
+            act = act[~np.isin(act, fan)]
         parts = 2 ** min(6, max(1, int(math.log2(_PROBE_BUDGET / max(len(act), 1)))))
         frac = np.arange(1, parts) / parts
         lo, hi = los[act, None], his[act, None]

@@ -316,7 +316,7 @@ class TestSolvePencil:
         assert [i for i, xs in enumerate(calls) if np.isin([glo, ghi, 0.0], xs).any()] == [0]
 
     def test_canonical_grid_stage_probes_few_points(self, monkeypatch):
-        """The canonical fem grid at N = 300 has 3192 points, ~600 of them where
+        """The canonical fem grid at N = 300 has 3245 points, ~600 of them where
         eigenvalues lie: its two counts probe at most 1000, and passes is the
         number of counts the solve takes, these two included."""
         w = ss.weight_truncation(P, 300)
@@ -329,10 +329,27 @@ class TestSolvePencil:
         monkeypatch.setattr(eigensolve, "_counts_below",
                             lambda *a: calls.append(len(a[3])) or counts_below(*a))
         counts, _, taken = eigensolve._grid_counts(K.diag, K.offdiag, M, grid)
-        assert len(grid) == 3192 and taken == len(calls) == 2 and sum(calls) <= 1000
+        assert len(grid) == 3245 and taken == len(calls) == 2 and sum(calls) <= 1000
         np.testing.assert_array_equal(counts, counts_below(K.diag, K.offdiag, M, grid))
         calls.clear()
         assert ss.solve_pencil(ss.PencilProblem(K, M, 300)).passes == len(calls)
+
+    @pytest.mark.parametrize("form,most", [("fem", 16), ("section", 10)])
+    def test_grid_brackets_stop_short_of_zero(self, form, most):
+        """At beta2 = 1e308 the smallest eigenvalue, 3.36e-308, is a normal double: the grid
+        halves down to the smallest normal, so no bracket ends at 0.0 (equal parts of a
+        bracket from 0 gain no relative digits until they reach the eigenvalue's binade;
+        with the grid ending near 1e-300, 13 brackets started at 0.0 and the solve took
+        20 counts)."""
+        pencil = _route_pencil(ss.make_params(0.5, 0.5, 0.0, 1e308), 481, form)
+        K, M, guard = pencil.K, pencil.M, 1.0 / eigensolve._MU_GUARD
+        grid = eigensolve._probe_grid(*np.clip(eigensolve._gershgorin(K.diag, K.offdiag, M),
+                                               -guard, guard))
+        counts, _, _ = eigensolve._grid_counts(K.diag, K.offdiag, M, grid)
+        j = np.searchsorted(np.maximum.accumulate(counts), np.arange(counts[0], counts[-1]) + 1)
+        assert counts[-1] - counts[0] == 481 and 0.0 not in grid[np.r_[j - 1, j]]
+        got = ss.solve_pencil(pencil)
+        assert got.values[0] > np.finfo(float).tiny and got.passes <= most
 
     def test_underflowing_masses_are_dropped(self):
         K = _tridiag([1.0, 1.0], [0.0])
@@ -430,15 +447,18 @@ class TestRayleighStage:
         return got
 
     @pytest.mark.parametrize("form", ["fem", "section"])
-    @given(contraction_params(edge=0.99), st.integers(64, 320))
+    @given(contraction_params(edge=0.99), st.integers(1, 320))
     @example(ss.make_params(0.9834355985567105, -0.9954953942401036, -0.4887197112434862,
                             0.20012592946157826), 118)
+    @example(P, 1)
+    @example(P, 2)
+    @example(ss.make_params(0.9, -1.0, 0.0, 1.0), 63)
     @settings(deadline=None, max_examples=10)
     def test_matches_plain_multisection(self, form, p, N):
-        """Over the contraction domain, both signs of d, a -> 1 and a*d^2 -> 1. At the
-        example the fem count changes back and forth over ~220 ulps near -6.216; the two
-        values there lie 2.9e-14 apart, 1.1e-14 (this) and 1.8e-14 (the reference) from
-        the exact eigenvalue of the float64 pencil."""
+        """Over the contraction domain, both signs of d, a -> 1 and a*d^2 -> 1, at every
+        order the stage serves. At the first example the fem count changes back and forth
+        over ~220 ulps near -6.216; the two values there lie 2.9e-14 apart, 1.1e-14 (this)
+        and 1.8e-14 (the reference) from the exact eigenvalue of the float64 pencil."""
         self._check(p, min(N, p.max_order), form)
 
     @pytest.mark.parametrize("form", ["fem", "section"])
@@ -470,6 +490,15 @@ class TestRayleighStage:
         assert [i for i, xs in enumerate(calls) if np.isin([glo, ghi, 0.0], xs).any()] == [0]
         monkeypatch.undo()
         self._check(p, N, form)
+
+    @pytest.mark.parametrize("form", ["fem", "section"])
+    @pytest.mark.parametrize("N", [20, 60])
+    def test_small_orders_use_the_stage(self, form, N, monkeypatch):
+        """The stage serves small orders too: the canonical brackets close in at most 6
+        counts and 3 sweeps; plain multisection took 13 counts at N = 20 and 16 at 60."""
+        sweeps, twist = [], eigensolve._twist
+        monkeypatch.setattr(eigensolve, "_twist", lambda *a: sweeps.append(len(a[3])) or twist(*a))
+        assert ss.solve_pencil(_route_pencil(P, N, form)).passes <= 6 and len(sweeps) == 3
 
     @pytest.mark.parametrize("form", ["fem", "section"])
     def test_canonical_order_300_takes_few_passes(self, form):
