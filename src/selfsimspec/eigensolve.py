@@ -24,7 +24,8 @@ here therefore works with relative thresholds:
   counts stay the only judge, and a bracket the steps missed carries on
   with multisection (Dhillon & Parlett, Linear Algebra Appl. 387, 2004);
 * twisted LDL^T factorizations, O(N) each, one helper for those steps
-  and for the pencil eigenvectors;
+  and for the pencil eigenvectors: one pass runs the forward and the
+  backward factorization side by side and keeps every step;
 * the Green-kernel route, which shares no code with the core: the
   weighted Green matrix W G W = L L^T by LAPACK's Cholesky, then
   L^T sign(M) L by Jacobi, whose eigenvalues are the reciprocals. Each
@@ -41,7 +42,7 @@ here therefore works with relative thresholds:
   relative accuracy. The route holds _GREEN_BYTES per matrix entry at
   once, so orders beyond 6553 (for the 1 GiB operators._DENSE_BUDGET)
   are refused before anything is allocated; the eigenvectors likewise
-  beyond 5792 (_PAIRS_BYTES).
+  beyond 5704 (_TWIST_BYTES).
 
 Iteration caps (120 bisection steps, 30 Jacobi sweeps) are diagnostics,
 not tunables; no solver takes a tolerance.
@@ -77,12 +78,16 @@ _EPS = np.finfo(float).eps
 # estimates to roundoff, where multisection gains at most 6 bits a count); each estimate
 # steps until a step is below _RQ_STOP relative, it leaves its bracket, or _RQ_CAP; the fan
 # probes x and x*(1 + _FAN); a sweep's kept pivots and sums take at most _TWIST_BUDGET bytes.
+# A twist holds _TWIST_BYTES per (row, shift) at once: its pivots and sums, float64 of shape
+# (n, 2, shifts) each, 32 in all, and a 33rd for the O(n) state and row blocks beside them,
+# as in _GREEN_BYTES. The same bounds pencil_eigenpairs: orders up to 5704 for 1 GiB.
 _RQ_NARROW = 1.0 / 8.0
 _RQ_SHARE = 0.9
 _RQ_STOP = 1e-8
 _RQ_CAP = 8
 _FAN = np.array([-64.0, -16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0]) * _EPS
 _TWIST_BUDGET = 2**26
+_TWIST_BYTES = 33
 
 
 @dataclass(frozen=True)
@@ -152,9 +157,10 @@ def _pivot_blocks(diag, off, mass, xs):
     d - x*m for a block is one outer product, then three in-place operations
     per row with no clamp. A block holding a pivot below _PIVMIN or a NaN is
     redone by _pivots, so every pivot is the clamped recurrence's. Several
-    factorizations can run side by side (see _twist): diag and mass of shape
-    (n, c) and off of shape (n - 1, c, 1) give pivots of shape (c, len(xs))
-    per row. The caller sets np.errstate and must not write to the yielded
+    factorizations can run side by side: diag and mass of shape (n, c) and
+    off of shape (n - 1, c, 1) give pivots of shape (c, len(xs)) per row
+    (_twist runs the forward and the backward one so, and keeps every
+    block). The caller sets np.errstate and must not write to the yielded
     pivots.
     """
     diag, mass = diag[..., None], mass[..., None]
@@ -196,84 +202,67 @@ def _counts_below(diag, off, mass, probes) -> np.ndarray:
     return np.where(xs < 0.0, n_neg - nu, n_neg + nu)
 
 
-def _factor_blocks(diag, off, mass, xs):
-    """_pivot_blocks with the sums s_i = m_i + (off_i / piv_(i-1))^2 s_(i-1), s_0 = m_0.
-
-    off_i couples row i to row i - 1. The factorization carries z_i = 1 up to
-    the rows before, z_(i-1) = -(off_i / piv_(i-1)) z_i, and s_i is the sum of
-    m_j z_j^2 over rows j <= i. A block's squared ratios take three array
-    operations; the recurrence then takes two per row. Yields (rows slice,
-    pivots, sums).
-    """
-    e = np.concatenate((np.zeros((1,) + off.shape[1:]), off))
-    prev, acc = np.full(diag.shape[1:] + xs.shape, np.inf), 0.0
-    for sl, piv in _pivot_blocks(diag, off, mass, xs):
-        sums = np.concatenate((prev[None], piv[:-1]))  # each row's previous pivot
-        np.divide(e[sl], sums, out=sums)
-        sums *= sums
-        for mi, s in zip(mass[sl, ..., None], sums):
-            s *= acc
-            s += mi
-            acc = s
-        prev = piv[-1]
-        yield sl, piv, sums
-
-
-def _twist(diag, off, mass, xs, fwd=None, bwd=None):
+def _twist(diag, off, mass, xs):
     """Twisted LDL^T factorizations of T - x*diag(mass), one per shift x, O(n) each.
 
     Forward and backward pivots D+ and D- (of _pivot_blocks, from the first
     row and from the last) meet at the twist index r where gamma_r = D+_r +
     D-_r - (T - x*diag(mass))_rr is smallest relative to m_r, the twist of
     the mass-scaled problem: on a graded pencil the roundoff of gamma's large
-    rows exceeds its true minimum. The z with z_r = 1 that the two bidiagonal
-    factors carry outward solves (T - x*diag(mass)) z = gamma_r e_r, so its
-    Rayleigh quotient is x + gamma_r / (z^T diag(mass) z), and z^T diag(mass) z
-    is the forward and the backward sums of _factor_blocks at r less m_r: no
-    vector is formed.
+    rows exceeds its true minimum (_twist_index). The z with z_r = 1 that the
+    two bidiagonal factors carry outward solves (T - x*diag(mass)) z =
+    gamma_r e_r, so its Rayleigh quotient is x + gamma_r / (z^T diag(mass) z),
+    and no vector is formed: off_i coupling row i to row i - 1, the sums
+    s_i = m_i + (off_i / piv_(i-1))^2 s_(i-1), s_0 = m_0, add m_j z_j^2 over
+    the rows up to i, so z^T diag(mass) z is the forward and the backward
+    sums at r less m_r. The sums run on the masses times 2^-e, e >= 0 the
+    exponent of the largest |m_i|: exact, and finite where masses near 1e308
+    would overflow them.
 
-    One sweep runs both factorizations side by side, step s taking row s
-    forward and row n-1-s backward. Steps s < n/2 are kept, the pivots and
-    sums of two n/2 x len(xs) halves each; step n-1-s then meets step s on
-    both of its rows, a block at a time, with a running argmin of |gamma_i| /
-    |m_i| whose ties and NaN go to the lowest row, as np.argmin's do. D+ and
-    D- are written to fwd and bwd when they are given. Returns (r, gamma_r,
-    z^T diag(mass) z).
+    One pass runs both factorizations side by side, step s taking row s
+    forward and row n-1-s backward, and keeps every step: the pivots, then
+    the sums, of shape (n, 2, len(xs)) each. Returns (r, gamma_r,
+    z^T diag(mass) z * 2^-e, e, D+, D-), D+ and D- of shape (n, len(xs)),
+    views of the kept pivots.
     """
-    n, k = len(diag), len(xs)
-    half, cols = (n + 1) // 2, np.arange(k)
-    kept_piv, kept_sum = np.empty((half, 2, k)), np.empty((half, 2, k))
-    best, r = np.full(k, np.inf), np.full(k, n)
-    gamma, zmz = np.zeros(k), np.ones(k)
+    n, cols = len(diag), np.arange(len(xs))
     d_2, e_2, m_2 = (np.stack((v, v[::-1]), axis=1) for v in (diag, off, mass))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for sl, piv, sums in _factor_blocks(d_2, e_2[..., None], m_2, xs):
-            b, e = sl.start, sl.start + len(piv)
-            if fwd is not None:
-                fwd[b:e], bwd[n - e : n - b] = piv[:, 0], piv[::-1, 1]
-            top = max(b, min(e, half))
-            kept_piv[b:top], kept_sum[b:top] = piv[: top - b], sums[: top - b]
-            lo = max(b, n // 2)  # steps from lo on meet step n-1-s, kept: rows s and n-1-s
-            if lo >= e:
-                continue
-            new, old = slice(lo - b, e - b), slice(n - e, n - lo)
-            for first, d_p, d_m, s_p, s_m in (  # both runs of rows, ascending
-                (n - e, kept_piv[old, 0], piv[new, 1][::-1], kept_sum[old, 0], sums[new, 1][::-1]),
-                (lo, piv[new, 0], kept_piv[old, 1][::-1], sums[new, 0], kept_sum[old, 1][::-1]),
-            ):
-                rows = slice(first, first + len(d_p))
-                g = d_p + d_m - (diag[rows, None] - mass[rows, None] * xs)
-                ratio = np.abs(g) / np.abs(mass[rows])[:, None]
-                j = np.argmin(ratio, axis=0)
-                val, row = ratio[j, cols], first + j
-                lower = row < r
-                take = np.where(np.isnan(best), np.isnan(val) & lower,
-                                np.isnan(val) | (val < best) | ((val == best) & lower))
-                best = np.where(take, val, best)
-                r = np.where(take, row, r)
-                gamma = np.where(take, g[j, cols], gamma)
-                zmz = np.where(take, s_p[j, cols] + s_m[j, cols] - mass[row], zmz)
-    return r, gamma, zmz
+        piv = np.concatenate([rows for _, rows in _pivot_blocks(d_2, e_2[..., None], m_2, xs)])
+        fwd, bwd = piv[:, 0], piv[::-1, 1]
+        r = _twist_index(fwd, bwd, diag, mass, xs)
+        gamma = fwd[r, cols] + bwd[r, cols] - (diag[r] - mass[r] * xs)
+        e = max(0, math.frexp(float(np.max(np.abs(mass))))[1])
+        m_s = np.ldexp(m_2, -e)[..., None]
+        sums = np.empty_like(piv)
+        sums[0] = m_s[0]
+        sq = np.divide(e_2[..., None], piv[:-1], out=sums[1:])
+        sq *= sq
+        for i in range(1, n):
+            sums[i] *= sums[i - 1]
+            sums[i] += m_s[i]
+        zmz = sums[r, 0, cols] + sums[n - 1 - r, 1, cols] - m_s[r, 0, 0]
+    return r, gamma, zmz, e, fwd, bwd
+
+
+def _twist_index(fwd, bwd, diag, mass, xs):
+    """The row of least |gamma_i| / |m_i|, gamma = fwd + bwd - (diag - x*mass), per shift x.
+
+    np.argmin within each block of _BLOCK rows, then over the blocks' minima, which is
+    np.argmin's rule over all rows (ties and NaN go to the lowest) by construction. No
+    n x len(xs) array is formed beside the pivots, and the block arrays are gone before
+    _twist allocates the sums. The caller sets np.errstate.
+    """
+    cols = np.arange(len(xs))
+    least = np.empty((-(-len(diag) // _BLOCK), len(xs)))
+    row = np.empty(least.shape, dtype=np.intp)
+    for i, b in enumerate(range(0, len(diag), _BLOCK)):
+        sl = slice(b, b + _BLOCK)
+        g = fwd[sl] + bwd[sl] - (diag[sl, None] - mass[sl, None] * xs)
+        ratio = np.abs(g) / np.abs(mass[sl])[:, None]
+        j = np.argmin(ratio, axis=0)
+        least[i], row[i] = ratio[j, cols], b + j
+    return row[np.argmin(least, axis=0), cols]
 
 
 def sturm_count(T: TridiagonalSymmetric, x: float) -> int:
@@ -508,17 +497,21 @@ def _rayleigh(K: TridiagonalSymmetric, M: np.ndarray, los, his) -> np.ndarray:
     would be below roundoff) or leaves its bracket, which leaves NaN; those
     still moving after _RQ_CAP steps keep their last x. The factorizations
     take at most _TWIST_BUDGET bytes at once, so many brackets go in chunks.
+    _twist's sums are scaled by 2^-e, so gamma_r over them is the step times
+    2^e, below 2|x|*max|m| for a step inside the bracket: under 1e300 at
+    max-order points (8.6e299 at (0.2, -1.5, 0.3, 1), N = 429), where x*2^e
+    would come close to overflow, so the sums are scaled and not x.
     """
     x = 0.5 * los + 0.5 * his
     est = np.full(len(x), np.nan)
     live = np.arange(len(x))
-    chunk = max(1, _TWIST_BUDGET // (16 * K.order))
+    chunk = max(1, _TWIST_BUDGET // (_TWIST_BYTES * K.order))
     for _ in range(_RQ_CAP):
         step = np.empty(len(live))
         for s in range(0, len(live), chunk):
-            _, gamma, zmz = _twist(K.diag, K.offdiag, M, x[live[s : s + chunk]])
+            _, gamma, zmz, e, _, _ = _twist(K.diag, K.offdiag, M, x[live[s : s + chunk]])
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                step[s : s + chunk] = gamma / zmz
+                step[s : s + chunk] = np.ldexp(gamma / zmz, -e)
         new = x[live] + step
         inside = (new > los[live]) & (new < his[live])  # False for NaN
         done = inside & (np.abs(step) <= _RQ_STOP * np.abs(new))
@@ -642,8 +635,7 @@ def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
     """
     d, e, m = p.K.diag, p.K.offdiag, p.M
     n, k = p.order, len(lam)
-    fwd, bwd = np.empty((n, k)), np.empty((n, k))
-    r, _, _ = _twist(d, e, m, lam, fwd, bwd)
+    r, _, _, _, fwd, bwd = _twist(d, e, m, lam)
     X = np.zeros((n, k))
     X[r, np.arange(k)] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -659,15 +651,11 @@ def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
             z = np.isnan(X[i])
             if z.any():
                 X[i, z] = -(e[i - 2] / e[i - 1]) * X[i - 2, z]
-        X /= np.linalg.norm(X, axis=0)
-    if not np.isfinite(X).all():
+        norms = np.sqrt(np.einsum("ij,ij->j", X, X))  # no n x k square
+    if not np.isfinite(norms).all():
         raise NonConvergence("twisted eigenvector overflowed")
+    X /= norms
     return X
-
-
-# Bytes per entry pencil_eigenpairs holds at once: D+ and D- of _twist and the two halves'
-# pivots and sums it keeps, then D+, D- and the vectors; orders up to 5792 for 1 GiB.
-_PAIRS_BYTES = 32
 
 
 def pencil_eigenpairs(p: PencilProblem) -> tuple[np.ndarray, np.ndarray, EigenvalueList]:
@@ -676,10 +664,10 @@ def pencil_eigenpairs(p: PencilProblem) -> tuple[np.ndarray, np.ndarray, Eigenva
     Eigenvalues come from solve_pencil, eigenvectors from one twisted
     factorization each, with the componentwise accuracy that slope and
     form checks need. Returns (lambda ascending, y columns, EigenvalueList).
-    An order beyond the dense budget for _PAIRS_BYTES raises OutOfRange before
+    An order beyond the dense budget for _TWIST_BYTES raises OutOfRange before
     anything of size N x N is allocated.
     """
-    _check_dense("eigenvector", p.order, _PAIRS_BYTES)
+    _check_dense("eigenvector", p.order, _TWIST_BYTES)
     info = solve_pencil(p)
     return info.values, _twisted_vectors(p, info.values), info
 

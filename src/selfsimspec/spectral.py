@@ -33,7 +33,7 @@ import numpy as np
 from .errors import EmptyWindow, OutOfRange, WrongSign
 from .eigensolve import (
     _GREEN_BYTES,
-    _PAIRS_BYTES,
+    _TWIST_BYTES,
     PencilProblem,
     pencil_eigenpairs,
     solve_green,
@@ -346,7 +346,7 @@ def verify_suite(params: SelfSimilarParams, N: int = 20) -> list[tuple[str, bool
 
     # the eigenvectors are N x N: at the largest order pencil_eigenpairs allows, if N is beyond it
     w = weight_truncation(params, M)
-    Mv = min(M, _dense_max_order(_PAIRS_BYTES))
+    Mv = min(M, _dense_max_order(_TWIST_BYTES))
     wv = w if Mv == M else weight_truncation(params, Mv)
     lam, Y, ev = pencil_eigenpairs(_fem_pencil(wv))
     worst_form = 0.0

@@ -420,6 +420,20 @@ def _row_by_row_twist(d, e, m, xs):
         return r, gamma[r, k], fs[r, k] + bs[r, k] - m[r]
 
 
+def _twist_case(seed, n, signed):
+    """A random T, masses and shifts for the twist: (d, e, m, xs), the shifts the
+    eigenvalues, where the pivots near zero, and 20 drawn at random."""
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+    e = rng.standard_normal(n - 1)
+    m = rng.uniform(0.1, 2.0, n)
+    if signed:
+        m[rng.random(n) < 0.4] *= -1.0
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    exact = np.linalg.eigvals(T / m[:, None]).real
+    return d, e, m, np.concatenate((exact, rng.standard_normal(20)))
+
+
 class TestRayleighStage:
     """solve_pencil moves isolated brackets by Rayleigh-quotient steps on the twist element
     gamma_r and probes a fan around each estimate; the counts still close every bracket
@@ -501,6 +515,36 @@ class TestRayleighStage:
         assert ss.solve_pencil(_route_pencil(P, N, form)).passes <= 6 and len(sweeps) == 3
 
     @pytest.mark.parametrize("form", ["fem", "section"])
+    def test_chunked_corrections_equal_one_chunk(self, form, monkeypatch):
+        """With the twist budget cut to 7 estimates at a time, the canonical order 60 takes
+        its Rayleigh sweeps in several chunks and gives the unchunked values, dropped count
+        and passes bit for bit: each estimate's twist is its own column."""
+        pencil = _route_pencil(P, 60, form)
+        want = ss.solve_pencil(pencil)
+        sweeps, twist = [], eigensolve._twist
+        monkeypatch.setattr(eigensolve, "_twist", lambda *a: sweeps.append(len(a[3])) or twist(*a))
+        monkeypatch.setattr(eigensolve, "_TWIST_BUDGET", eigensolve._TWIST_BYTES * 60 * 7)
+        got = ss.solve_pencil(pencil)
+        assert max(sweeps) == 7 and len(sweeps) >= 9
+        np.testing.assert_array_equal(got.values, want.values)
+        assert (got.dropped, got.passes) == (want.dropped, want.passes)
+
+    def test_masses_near_overflow_keep_the_rayleigh_step(self):
+        """At beta2 = 1e308 the masses near 1e308 and z^T M z at lambda_1 (3.4e-308, twist
+        row 0) exceeds the largest double; summed on the masses scaled by 2^-1024 it stays
+        finite, the step toward lambda_1 is not lost, and fem closes its brackets in at most
+        9 counts, as the section does (16 when the sum overflowed)."""
+        w = ss.weight_truncation(ss.make_params(0.5, 0.5, 0.0, 1e308), 481)
+        pencil = spectral._fem_pencil(w)
+        got = ss.solve_pencil(pencil)
+        assert got.passes <= 9
+        x = got.values[:1] * (1.0 + 1e-6)
+        r, gamma, zmz, scale, _, _ = eigensolve._twist(pencil.K.diag, pencil.K.offdiag, w.masses, x)
+        assert r[0] == 0 and scale == 1024 and np.isfinite(zmz).all()
+        step = np.ldexp(gamma / zmz, -scale)
+        assert abs(x[0] + step[0] - got.values[0]) <= 1e-9 * got.values[0]
+
+    @pytest.mark.parametrize("form", ["fem", "section"])
     def test_canonical_order_300_takes_few_passes(self, form):
         """The brackets close in at most 12 counts; plain multisection took 55."""
         assert ss.solve_pencil(_route_pencil(P, 300, form)).passes <= 12
@@ -509,24 +553,24 @@ class TestRayleighStage:
         w = ss.weight_truncation(P, 300)
         assert ss.solve_green(ss.green_kernel_matrix(w) / w.masses, w.masses).passes == 3
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.booleans())
-    @example(0, 1, False)
-    @example(1, 33, True)
-    @example(2, 64, True)
+    @given(st.builds(_twist_case, st.integers(0, 2**32 - 1), st.integers(1, 70), st.booleans()))
+    @example(_twist_case(0, 1, False))
+    @example(_twist_case(1, 33, True))
+    @example(_twist_case(2, 64, True))
+    # x*m_35 overflows to -inf at x = 1e10, so gamma_35 = inf + inf - inf is NaN: r = 35
+    @example((np.ones(40), np.full(39, 0.5), np.where(np.arange(40) == 35, -1e300, 1.0),
+              np.array([1e10, 0.3])))
+    # no coupling: gamma_i = i - 31.5, the least |gamma| tied on rows 31 and 32: r = 31
+    @example((np.arange(64.0), np.zeros(63), np.ones(64), np.array([31.5])))
     @settings(deadline=None, max_examples=40)
-    def test_twist_equals_the_row_by_row_twist(self, seed, n, signed):
-        """One sweep runs both factorizations side by side and meets them block by
-        block; r, gamma_r and z^T M z are bit for bit those of the plain recurrences."""
-        rng = np.random.default_rng(seed)
-        d = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
-        e = rng.standard_normal(n - 1)
-        m = rng.uniform(0.1, 2.0, n)
-        if signed:
-            m[rng.random(n) < 0.4] *= -1.0
-        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        exact = np.linalg.eigvals(T / m[:, None]).real  # shifts where the pivots near zero
-        xs = np.concatenate((exact, rng.standard_normal(20)))
-        for got, want in zip(eigensolve._twist(d, e, m, xs), _row_by_row_twist(d, e, m, xs)):
+    def test_twist_equals_the_row_by_row_twist(self, case):
+        """One pass runs both factorizations side by side and keeps every step; the twist
+        index, taken block by block and then over the blocks, is np.argmin's over all rows,
+        ties and NaN included: r, gamma_r and z^T M z are bit for bit those of the plain
+        recurrences, the sums undone by their power-of-two scale."""
+        d, e, m, xs = case
+        r, gamma, zmz, scale, _, _ = eigensolve._twist(d, e, m, xs)
+        for got, want in zip((r, gamma, np.ldexp(zmz, scale)), _row_by_row_twist(d, e, m, xs)):
             np.testing.assert_array_equal(got, want)
 
 
@@ -734,3 +778,19 @@ class TestInverseIteration:
         assert res <= 1e-10 * np.abs(T.dense()).sum()
         rq = float(v @ T.dense() @ v)
         assert rq == pytest.approx(lam, rel=1e-12)
+
+    def test_eigenpairs_peak_memory_is_within_its_budget(self):
+        """Under tracemalloc pencil_eigenpairs at (0.9, 0.9), N = 1000, holds at most
+        _TWIST_BYTES per entry at once: the twist's pivots and sums, 32 bytes, and then the
+        pivots and the vectors, with no n x n square or mask in the normalisation; the O(n)
+        state and the row blocks fit in the 33rd byte at this order."""
+        N = 1000
+        pencil = spectral._fem_pencil(ss.weight_truncation(ss.make_params(0.9, 0.9, 0.0, 1.0), N))
+        self._unit_mass(_tridiag([1.0, 2.0], [0.5]))  # the first call's one-time allocations
+        tracemalloc.start()
+        try:
+            ss.pencil_eigenpairs(pencil)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= eigensolve._TWIST_BYTES * N * N

@@ -348,9 +348,10 @@ class TestVerifySuite:
         assert all(ok for ok, _ in results.values()), results
 
     def test_eigenvector_lines_run_at_the_largest_order_pairs_allow(self, monkeypatch):
-        """pencil_eigenpairs holds 32 bytes per entry: with room for order 10 it refuses 11,
+        """pencil_eigenpairs holds 33 bytes per entry: with room for order 10 it refuses 11,
         and verify checks the eigenvectors at order 10 while the inertia line keeps N."""
-        monkeypatch.setattr(operators, "_DENSE_BUDGET", 32 * 10**2)
+        monkeypatch.setattr(operators, "_DENSE_BUDGET", 33 * 10**2)
+        assert operators._dense_max_order(eigensolve._TWIST_BYTES) == 10
         w = ss.weight_truncation(P, 11)
         with pytest.raises(ss.OutOfRange, match="eigenvector order 11 exceeds 10"):
             ss.pencil_eigenpairs(ss.PencilProblem(ss.stiffness_matrix(w), w.masses, 11))
