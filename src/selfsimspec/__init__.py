@@ -5,120 +5,53 @@ masses 2^(1-k) at 1 - 2^(-k), q = 4, r = 1/2, eigenvalues approaching
 4^k. See the module docstrings for the construction (selfsim), the matrix
 renderings and quadratic forms (operators), the eigensolvers (eigensolve)
 and the spectral laws (spectral).
+
+Each public name loads its module on first access (PEP 562), so
+``import selfsimspec`` costs no layer until one is used.
 """
 
-from .eigensolve import (
-    EigenvalueList,
-    PencilProblem,
-    pencil_eigenpairs,
-    solve_green,
-    solve_pencil,
-    sturm_count,
-    tridiag_eigs,
-)
-from .errors import (
-    AtBreakpoint,
-    DegenerateWeight,
-    DepthExceeded,
-    EmptyWindow,
-    NonConvergence,
-    NotContractive,
-    NotPositiveDefinite,
-    NumericalError,
-    OutOfRange,
-    RangeOverflow,
-    ValidationError,
-    WrongSign,
-    ZeroEigenvalue,
-)
-from .operators import (
-    SlopeSequence,
-    TridiagonalSymmetric,
-    boundary_functional,
-    eigenfunction_slopes,
-    green_kernel_matrix,
-    mass_matrix,
-    quadratic_form_sides,
-    section,
-    stiffness_matrix,
-    symmetrized_section,
-    symmetry_defect,
-)
-from .selfsim import (
-    DiscreteWeight,
-    SelfSimilarParams,
-    StepFunction,
-    apply_similarity,
-    fixed_point_residual,
-    make_params,
-    step_function,
-    step_value,
-    weight_truncation,
-)
-from .spectral import (
-    FORMULATIONS,
-    AsymptoticsReport,
-    CrossValidation,
-    IndefiniteReport,
-    SpectrumResult,
-    compute_spectrum,
-    cross_validate,
-    estimate_c,
-    indefinite_report,
-    verify_suite,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticsReport",
-    "AtBreakpoint",
-    "CrossValidation",
-    "DegenerateWeight",
-    "DepthExceeded",
-    "DiscreteWeight",
-    "EigenvalueList",
-    "EmptyWindow",
-    "FORMULATIONS",
-    "IndefiniteReport",
-    "NonConvergence",
-    "NotContractive",
-    "NotPositiveDefinite",
-    "NumericalError",
-    "OutOfRange",
-    "PencilProblem",
-    "RangeOverflow",
-    "SelfSimilarParams",
-    "SlopeSequence",
-    "SpectrumResult",
-    "StepFunction",
-    "TridiagonalSymmetric",
-    "ValidationError",
-    "WrongSign",
-    "ZeroEigenvalue",
-    "apply_similarity",
-    "boundary_functional",
-    "compute_spectrum",
-    "cross_validate",
-    "eigenfunction_slopes",
-    "estimate_c",
-    "fixed_point_residual",
-    "green_kernel_matrix",
-    "indefinite_report",
-    "make_params",
-    "mass_matrix",
-    "pencil_eigenpairs",
-    "quadratic_form_sides",
-    "section",
-    "solve_green",
-    "solve_pencil",
-    "step_function",
-    "step_value",
-    "stiffness_matrix",
-    "sturm_count",
-    "symmetrized_section",
-    "symmetry_defect",
-    "tridiag_eigs",
-    "verify_suite",
-    "weight_truncation",
-]
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "eigensolve": (
+        "EigenvalueList", "PencilProblem", "pencil_eigenpairs", "solve_green", "solve_pencil",
+        "sturm_count", "tridiag_eigs",
+    ),
+    "errors": (
+        "AtBreakpoint", "DegenerateWeight", "DepthExceeded", "EmptyWindow", "NonConvergence",
+        "NotContractive", "NotPositiveDefinite", "NumericalError", "OutOfRange", "RangeOverflow",
+        "ValidationError", "WrongSign", "ZeroEigenvalue",
+    ),
+    "operators": (
+        "SlopeSequence", "TridiagonalSymmetric", "boundary_functional", "eigenfunction_slopes",
+        "green_kernel_matrix", "mass_matrix", "quadratic_form_sides", "section",
+        "stiffness_matrix", "symmetrized_section", "symmetry_defect",
+    ),
+    "selfsim": (
+        "DiscreteWeight", "SelfSimilarParams", "StepFunction", "apply_similarity",
+        "fixed_point_residual", "make_params", "step_function", "step_value", "weight_truncation",
+    ),
+    "spectral": (
+        "FORMULATIONS", "AsymptoticsReport", "CrossValidation", "IndefiniteReport",
+        "SpectrumResult", "compute_spectrum", "cross_validate", "estimate_c",
+        "indefinite_report", "verify_suite",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

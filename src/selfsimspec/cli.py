@@ -5,6 +5,9 @@ a fixed order, floats in shortest round-trip form) or CSV (header row,
 "." decimal separator), written as it is formatted; verify prints one
 PASS/FAIL line per check. Exit codes: 0 success, 1 verification failure,
 2 validation error or an unwritable --out path, 3 numerical failure.
+
+Only the commands that solve import spectral, and through it eigensolve:
+weight and matrix load no solver.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 from .errors import NumericalError, OutOfRange, ValidationError
 from .operators import SECTION_KINDS, section
 from .selfsim import make_params, step_function, weight_truncation
-from .spectral import compute_spectrum, estimate_c, indefinite_report, verify_suite
 
 _FORMULATION = {"jacobi": "jacobi-section", "fem": "fem-pencil", "green": "green-kernel"}
 
@@ -82,6 +84,8 @@ def _cmd_matrix(args, params):
 
 
 def _cmd_spectrum(args, params):
+    from .spectral import compute_spectrum
+
     spec = compute_spectrum(params, args.n, _FORMULATION[args.formulation], count=args.count)
     payload = {"params": _params_payload(params), "N": spec.order,
                "formulation": spec.formulation, "eigenvalues": spec.values}
@@ -89,6 +93,8 @@ def _cmd_spectrum(args, params):
 
 
 def _cmd_asymptotics(args, params):
+    from .spectral import compute_spectrum, estimate_c, indefinite_report
+
     window = _parse_window(args.window)
     spec = compute_spectrum(params, args.n, _FORMULATION[args.formulation])
     rep = (estimate_c if params.d > 0 else indefinite_report)(spec, window)
@@ -153,6 +159,8 @@ def main(argv=None) -> int:
     try:
         params = make_params(args.a, args.d, args.beta1, args.beta2)
         if args.command == "verify":
+            from .spectral import verify_suite
+
             results = verify_suite(params, N=args.n)
             chunks = [
                 f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n" for name, ok, detail in results

@@ -292,6 +292,16 @@ def _gershgorin(diag, off, mass) -> tuple[float, float]:
     return glo - pad, ghi + pad
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) for a 1-D x without NaN: the sort and adjacent-difference mask that
+    np.unique runs itself, bit for bit, without its first call, which imports numpy.ma."""
+    x = np.sort(x)
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _probe_grid(glo: float, ghi: float) -> np.ndarray:
     """Binary grid over the Gershgorin interval, refined toward zero.
 
@@ -310,7 +320,7 @@ def _probe_grid(glo: float, ghi: float) -> np.ndarray:
             k = max(0, int(math.log2(abs(t)) - math.log2(abs(bound))) + 2)
             side = np.ldexp(t, -np.arange(1, k + 1))
             probes.append(side[np.abs(side) > abs(bound)])
-    return np.unique(np.concatenate(probes))
+    return _distinct(np.concatenate(probes))
 
 
 def _grid_counts(diag, off, mass, grid: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -320,7 +330,7 @@ def _grid_counts(diag, off, mass, grid: np.ndarray) -> tuple[np.ndarray, int, in
     monotone, so a cell whose ends agree holds their count; the second probes the interior
     of the other cells, if they have any. Returns (counts, count at 0.0, counts taken).
     """
-    coarse = np.unique(np.r_[: len(grid) : _COARSE, len(grid) - 1, np.flatnonzero(grid == 0.0)])
+    coarse = _distinct(np.r_[: len(grid) : _COARSE, len(grid) - 1, np.flatnonzero(grid == 0.0)])
     first = _counts_below(diag, off, mass, np.append(grid[coarse], 0.0))
     counts = np.repeat(first[:-1], np.diff(coarse, append=len(grid)))  # a cell's left end's
     changed = np.repeat(np.diff(first[:-1]) != 0, np.diff(coarse))  # per point but the last

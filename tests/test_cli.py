@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import subprocess
@@ -9,9 +10,20 @@ from pathlib import Path
 import pytest
 
 from conftest import canonical, run_cli
-from selfsimspec import spectral
+from selfsimspec import cli, errors, spectral
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# The 13 exception classes, and for each command a call on its path to raise them from.
+ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+          if cls.__module__ == errors.__name__]
+RAISE_IN = {
+    "weight": (cli, "weight_truncation"),
+    "matrix": (cli, "section"),
+    "spectrum": (spectral, "solve_pencil"),
+    "asymptotics": (spectral, "_window_slice"),
+    "verify": (spectral, "fixed_point_residual"),
+}
 
 # Invocations whose output is frozen byte for byte in tests/golden.
 GOLDENS = [
@@ -186,6 +198,24 @@ class TestExitCodes:
     def test_unknown_flag_value_is_two(self):
         code, _, _ = run_cli("spectrum", "--format", "xml")
         assert code == 2
+
+    @pytest.mark.parametrize("command", list(RAISE_IN))
+    @pytest.mark.parametrize("error", ERRORS, ids=lambda cls: cls.__name__)
+    def test_every_error_class_keeps_its_exit_code(self, monkeypatch, command, error):
+        """The solver modules load inside the command bodies, so each class is raised
+        from inside each command: exit 2 for a ValidationError, 3 for a NumericalError,
+        one stderr line and nothing on stdout."""
+        assert len(ERRORS) == 13
+        assert issubclass(error, (errors.ValidationError, errors.NumericalError))
+
+        def fail(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(*RAISE_IN[command], fail)
+        code, out, err = run_cli(command, "--n", "4")
+        assert code == (2 if issubclass(error, errors.ValidationError) else 3)
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "injected failure" in err
 
 
 class TestOutputContracts:
@@ -364,3 +394,47 @@ def test_module_entry_point_subprocess(argv, name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / name).read_text()
+
+
+def _imported(*argv):
+    """Run ``python -X importtime *argv`` in a fresh interpreter, as the benchmark starts
+    a CLI job; returns (exit code, every module the process imported)."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=60
+    )
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+SOLVERS = {"selfsimspec.eigensolve", "selfsimspec.spectral"}
+
+
+class TestImports:
+    """Each process loads only what its work runs."""
+
+    def test_package_import_loads_no_layer(self):
+        code, mods = _imported("-c", "import selfsimspec")
+        assert code == 0 and "selfsimspec" in mods
+        assert not mods & {f"selfsimspec.{m}" for m in ("selfsim", "operators", "eigensolve",
+                                                       "spectral")}
+
+    @pytest.mark.parametrize("command", ["weight", "matrix"])
+    def test_weight_and_matrix_load_no_solver(self, command):
+        code, mods = _imported("-m", "selfsimspec.cli", command, "--n", "5")
+        assert code == 0 and "selfsimspec.operators" in mods
+        assert not mods & SOLVERS
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--formulation", "fem"),
+        ("spectrum", "--formulation", "jacobi"),
+        ("verify",),
+    ], ids=" ".join)
+    def test_solving_loads_no_masked_arrays(self, argv):
+        code, mods = _imported("-m", "selfsimspec.cli", *argv)
+        assert code == 0 and SOLVERS <= mods
+        assert "numpy.ma" not in mods
+
+    def test_verify_loads_no_numpy_random(self):
+        code, mods = _imported("-m", "selfsimspec.cli", "verify")
+        assert code == 0
+        assert "numpy.random" not in mods

@@ -178,6 +178,36 @@ class TestGridCounts:
         assert 0.0 in grid and len(grid) > 10 * eigensolve._COARSE
 
 
+class TestDistinct:
+    """_distinct stands in for np.unique (which imports numpy.ma) in the probe grid
+    and the coarse grid indices; it must return np.unique's array bit for bit."""
+
+    EDGES = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0)
+
+    @staticmethod
+    def _same(x):
+        got, want = eigensolve._distinct(x), np.unique(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @given(st.lists(st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False)), max_size=300))
+    @example([])
+    @example([0.0, -0.0, 0.0, -0.0])
+    @example([-0.0, 1.0, 0.0, 1.0, -math.inf, math.inf, -math.inf])
+    @settings(max_examples=200)
+    def test_floats(self, xs):
+        """Repeats, both zeros, both infinities and subnormals."""
+        self._same(np.array(xs, dtype=float))
+
+    @given(st.integers(1, 5000), st.lists(st.integers(0, 4999), max_size=4))
+    @example(1, [0])
+    @example(33, [32, 32])
+    def test_grid_indices(self, n, zeros):
+        """The index array _grid_counts builds: every _COARSE-th point, the last one and
+        the points at 0.0, which can repeat the others."""
+        at_zero = np.array([z % n for z in zeros], dtype=np.intp)
+        self._same(np.r_[: n : eigensolve._COARSE, n - 1, at_zero])
+
+
 class TestTridiagEigs:
     def test_two_by_two_closed_form(self):
         got = ss.tridiag_eigs(ss.symmetrized_section(P, 2)).values
