@@ -13,16 +13,15 @@ here therefore works with relative thresholds:
   brackets are isolated on a binary probe grid first, so each spans at
   most a factor of 2 and the iteration cap holds across the full dynamic
   range (one count takes every 32nd grid point, a second only the cells
-  whose count changes), then cut by multisection, many probes per
-  vectorised count (taken a block of rows at a time), until their ends
-  are adjacent doubles; no stop has an absolute term, so eigenvalues
-  near 2.2e-308 keep their digits. Once most brackets hold one eigenvalue
-  each, narrow against their neighbours, at any order, Rayleigh-quotient
-  steps on the twisted factorization (Newton steps on its twist element
-  gamma_r) move their estimates to roundoff in a few sweeps, and one count
-  of a fan of probes around each estimate closes most of them at once; the
-  counts stay the only judge, and a bracket the steps missed carries on
-  with multisection (Dhillon & Parlett, Linear Algebra Appl. 387, 2004);
+  whose count changes), then cut by one rule, at the change of count
+  nearest a chosen probe, until their ends are adjacent doubles, many
+  probes per vectorised count (taken a block of rows at a time): equal
+  parts (multisection) and, once most brackets hold one eigenvalue each,
+  a fan of probes around Rayleigh-quotient estimates, which Newton steps
+  on the twist element gamma_r of the twisted factorization take to
+  roundoff in a few sweeps (Dhillon & Parlett, Linear Algebra Appl. 387,
+  2004). The counts stay the only judge, and no stop has an absolute
+  term, so eigenvalues near 2.2e-308 keep their digits;
 * twisted LDL^T factorizations, O(N) each, one helper for those steps
   and for the pencil eigenvectors: one pass runs the forward and the
   backward factorization side by side and keeps every step;
@@ -94,8 +93,8 @@ _TWIST_BYTES = 33
 class PencilProblem:
     """Generalized problem K y = lambda M y, K symmetric tridiagonal, M diagonal.
 
-    K must be positive definite when a mass is negative (solve_pencil
-    checks); with positive masses any symmetric K is allowed.
+    Masses are finite and nonzero; K must be positive definite when one is
+    negative (solve_pencil checks), else any symmetric K is allowed.
     """
 
     K: TridiagonalSymmetric
@@ -106,6 +105,8 @@ class PencilProblem:
         M = np.asarray(self.M, dtype=float)
         if len(M) != self.order or self.K.order != self.order:
             raise OutOfRange("pencil dimensions disagree")
+        if not np.all(np.isfinite(M)):
+            raise OutOfRange("masses must be finite")
         if np.any(M == 0.0):
             raise DegenerateWeight("mass matrix has a zero entry")
         object.__setattr__(self, "M", M)
@@ -267,6 +268,8 @@ def _twist_index(fwd, bwd, diag, mass, xs):
 
 def sturm_count(T: TridiagonalSymmetric, x: float) -> int:
     """Number of eigenvalues of T strictly below x."""
+    if math.isnan(x):
+        raise OutOfRange("sturm_count probe is NaN")
     return int(_counts_below(T.diag, T.offdiag, np.ones(T.order), [float(x)])[0])
 
 
@@ -534,6 +537,17 @@ def _rayleigh(K: TridiagonalSymmetric, M: np.ndarray, los, his) -> np.ndarray:
     return est
 
 
+def _cut(lo, pts, hi, up, m):
+    """Each row's sub-bracket of its ends [lo, pts, hi] (lo, hi columns) at the change of up,
+    whether the point's count reaches the row's index, nearest column m; lo is below it and hi
+    reaches it. m = 1 is the first change from the left. Returns (new lo, new hi)."""
+    up = np.hstack((np.zeros_like(lo, bool), up, np.ones_like(hi, bool)))
+    after = m - 1 + np.argmax(up[:, m:], axis=1)  # just before the first end from m that reaches
+    before = m - 1 - np.argmax(~up[:, m - 1 :: -1], axis=1)  # the last end before m below it
+    c = np.where(up[:, m], before, after)[:, None]
+    return np.take_along_axis(np.hstack((lo, pts, hi)), np.hstack((c, c + 1)), axis=1).T
+
+
 def solve_pencil(p: PencilProblem) -> EigenvalueList:
     """Eigenvalues of K y = lambda M y, ascending, by the inertia core.
 
@@ -542,22 +556,21 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
     dropped. The counts over the _probe_grid (_grid_counts: a coarse count,
     then one of the cells whose count changes) give the kept index range, the
     brackets and, when a mass is negative (only then does the count need K
-    positive definite), K's inertia from the first count's probe at 0. Each bracket
-    is cut into 2^b equal parts per step, all in one vectorised count (b
-    grows as fewer brackets remain: a count costs mostly per row, not per
-    probe), until its ends are adjacent doubles.
+    positive definite), K's inertia from the first count's probe at 0.
 
-    Twisted Rayleigh-quotient stage, at every order: once at least _RQ_SHARE
-    of the open brackets no correction has served, and at least one, are
-    _isolated (one eigenvalue each, narrow against their neighbours), those
-    brackets get _rayleigh's corrections, all in one batch, and the same
-    pass's count probes a fan around each estimate x: x itself and x*(1 -+
-    {1, 4, 16, 64}*eps). The counts stay the only judge. The fan's counts
-    cut the bracket at the change of count nearest x (where roundoff makes
-    the count non-monotone over a few ulps, the one multisection would find
-    can lie elsewhere in that range), so an estimate within an ulp closes
-    its bracket at once; a bracket the corrections missed carries on with
-    multisection. Every bracket still ends at adjacent doubles.
+    Each count then probes every open bracket, in groups, and _cut takes one
+    rule on all: the sub-bracket at the change of count nearest column m of
+    the bracket's probes. Multisection cuts 2^b equal parts (b grows as
+    fewer brackets remain: a count costs mostly per row, not per probe) at
+    m = 1, the first change. Once at least _RQ_SHARE of the open brackets no
+    correction has served, and at least one, are _isolated (one eigenvalue
+    each, narrow against their neighbours), those get _rayleigh's
+    corrections in one batch, and that count probes a fan around each
+    estimate x, x*(1 + _FAN), with m at x (where roundoff makes the count
+    non-monotone over a few ulps, the first change can lie elsewhere): an
+    estimate within an ulp closes its bracket at once, and a bracket the
+    corrections missed carries on with multisection. The counts stay the
+    only judge; every bracket ends at adjacent doubles.
     """
     K, M = p.K, p.M
     glo, ghi = np.clip(_gershgorin(K.diag, K.offdiag, M), -1.0 / _MU_GUARD, 1.0 / _MU_GUARD)
@@ -579,44 +592,30 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
         act = np.flatnonzero(active)
         if not len(act):
             break
-        fan = act[:0]  # brackets whose estimate this count fans out around
+        fan = []  # probe groups (brackets, points, m), each cut at the change nearest column m
         ready = np.flatnonzero(fresh & active & _isolated(los, his))
         if len(ready) >= max(1, _RQ_SHARE * np.count_nonzero(fresh[act])):
             fresh[ready] = False
             est = _rayleigh(K, M, los[ready], his[ready])
-            fan, est = ready[np.isfinite(est)], est[np.isfinite(est), None]
-            act = act[~np.isin(act, fan)]
+            served, est = ready[np.isfinite(est)], est[np.isfinite(est), None]
+            fan = [(served, est + np.abs(est) * _FAN, 1 + len(_FAN) // 2)]
+            act = act[~np.isin(act, served)]
         parts = 2 ** min(6, max(1, int(math.log2(_PROBE_BUDGET / max(len(act), 1)))))
-        frac = np.arange(1, parts) / parts
-        lo, hi = los[act, None], his[act, None]
         # one rounding after exact steps keeps the points monotone in f, so f = 1/2 splits any
         # 2-ulp bracket (lo*(1-f) + hi*f rounds twice and can put hi before the midpoint);
         # hi - lo <= 2/_MU_GUARD cannot overflow
-        pts = np.minimum(np.maximum(lo + (hi - lo) * frac, lo), hi)
-        probes = pts.ravel()
-        if len(fan):
-            fan_lo, fan_hi = los[fan, None], his[fan, None]
-            fan_pts = np.minimum(np.maximum(est + np.abs(est) * _FAN, fan_lo), fan_hi)
-            probes = np.concatenate((probes, fan_pts.ravel()))
-        cnt = _counts_below(K.diag, K.offdiag, M, probes)
+        lo, hi = los[act, None], his[act, None]
+        groups = [(act, lo + (hi - lo) * (np.arange(1, parts) / parts), 1), *fan]
+        pts = [np.minimum(np.maximum(x, los[b, None]), his[b, None]) for b, x, _ in groups]
+        cnt = _counts_below(K.diag, K.offdiag, M, np.concatenate([x.ravel() for x in pts]))
         passes += 1
-        # points before the first count >= idx; monotone even if roundoff is not
-        up = cnt[: pts.size].reshape(pts.shape) >= idxs[act, None]
-        c = np.sum(~np.logical_or.accumulate(up, axis=1), axis=1)
-        ends = np.hstack((lo, pts, hi))
-        new_lo, new_hi = ends[np.arange(len(act)), c], ends[np.arange(len(act)), c + 1]
-        stuck = (new_lo == los[act]) & (new_hi == his[act])
-        los[act], his[act] = new_lo, new_hi
-        if len(fan):  # the change of count nearest the estimate, column m of the ends
-            m = 1 + len(_FAN) // 2
-            up = cnt[pts.size :].reshape(fan_pts.shape) >= idxs[fan, None]
-            up = np.hstack((np.zeros_like(fan_lo, bool), up, np.ones_like(fan_hi, bool)))
-            after = m - 1 + np.argmax(up[:, m:], axis=1)  # just before the first >= idx from m
-            before = m - 1 - np.argmax(~up[:, m - 1 :: -1], axis=1)  # the last < idx before m
-            c = np.where(up[:, m], before, after)
-            ends = np.hstack((fan_lo, fan_pts, fan_hi))
-            los[fan], his[fan] = ends[np.arange(len(fan)), c], ends[np.arange(len(fan)), c + 1]
-        active[act[stuck]] = False
+        for (b, _, m), x, c in zip(groups, pts, np.split(cnt, np.cumsum([x.size for x in pts]))):
+            up = c.reshape(x.shape) >= idxs[b, None]  # zip drops the last piece, which is empty
+            los[b], his[b] = _cut(los[b, None], x, his[b, None], up, m)
+        # No bracket sticks: parts is a power of two >= 2, so every multisection row holds
+        # f = 1/2; hi - lo is exact, since a bracket spans at most a factor of 2 or ends at 0;
+        # so lo + (hi - lo)*0.5 lies strictly inside a bracket wider than adjacent doubles,
+        # and every cut shrinks it. One that did would reach _BISECT_CAP and raise.
         active &= np.nextafter(los, his) != his  # adjacent doubles
     if active.any():
         raise NonConvergence(f"bisection cap {_BISECT_CAP} reached")

@@ -39,11 +39,23 @@ _DENSE_BUDGET = 2**30
 
 @dataclass(frozen=True)
 class TridiagonalSymmetric:
-    """Real symmetric tridiagonal matrix of the given order."""
+    """Real symmetric tridiagonal matrix of the given order >= 1, with finite entries."""
 
     diag: np.ndarray
     offdiag: np.ndarray
     order: int
+
+    def __post_init__(self):
+        n = self.order
+        if n < 1:
+            raise OutOfRange(f"order must be >= 1, got {n}")
+        if len(self.diag) != n or len(self.offdiag) != n - 1:
+            raise OutOfRange(
+                f"order {n} needs {n} diagonal and {n - 1} off-diagonal entries, "
+                f"got {len(self.diag)} and {len(self.offdiag)}"
+            )
+        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
+            raise OutOfRange("tridiagonal entries must be finite")
 
     def dense(self) -> np.ndarray:
         out = np.diag(self.diag)
@@ -288,6 +300,8 @@ def eigenfunction_slopes(weight: DiscreteWeight, y: np.ndarray) -> SlopeSequence
     h = _intervals(weight)
     y = np.asarray(y, dtype=float)
     N = weight.order
+    if y.shape != (N,):
+        raise OutOfRange(f"y must hold the {N} nodal values, got shape {y.shape}")
     s = np.empty(N + 1)
     s[0] = y[0] / h[0]
     s[1:N] = np.diff(y) / h[1:N]
@@ -308,6 +322,8 @@ def symmetry_defect(params: SelfSimilarParams, u, v, N: int) -> float:
     supported on 1..N-1 so the section acts as the infinite matrix.
     """
     _check_order(params, N)
+    if len(u) > N or len(v) > N:
+        raise OutOfRange(f"u and v must have at most N = {N} entries, got {len(u)} and {len(v)}")
     d, q = params.d, params.q
     uu = np.zeros(N)
     vv = np.zeros(N)

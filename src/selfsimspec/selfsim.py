@@ -258,12 +258,17 @@ def fixed_point_residual(params: SelfSimilarParams, depth: int) -> float:
 def weight_truncation(params: SelfSimilarParams, N: int) -> DiscreteWeight:
     """First N point masses of the weight.
 
-    Raises RangeOverflow when a^N underflows to zero or a mass leaves
-    double range (|d| > 1 grows the masses).
+    Raises RangeOverflow, before any length-N array exists, when a^N
+    underflows to zero or a mass leaves double range: |d| > 1 grows the
+    masses, and with |d| < 1 the last one can underflow to 0. The step
+    function refuses no such order: its plateau values lose those masses
+    to rounding long before they underflow.
     """
     if N < 1:
         raise OutOfRange(f"N must be >= 1, got {N}")
     _check_order(params, N)
+    if _masses(params, np.array([N - 1.0]))[0] == 0.0:  # the smallest mass when |d| < 1
+        raise RangeOverflow(f"masses underflow to 0 at N = {N}")
     gaps = params.a ** np.arange(1, N + 1, dtype=float)
     return DiscreteWeight(
         positions=_freeze(1.0 - gaps),

@@ -155,6 +155,31 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("RangeOverflow: masses overflow")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("weight",),
+            ("matrix", "--kind", "M"),
+            ("spectrum", "--formulation", "fem"),
+            ("verify",),
+            ("spectrum", "--formulation", "green"),
+        ],
+    )
+    def test_underflowing_masses_are_three(self, argv):
+        """At beta2 = 1e-300 the last mass, 1e-300 * 0.5^(N-1), underflows to 0 from N = 80,
+        although max_order is 481: weight printed masses of 0.0 and matrix a zero diagonal
+        with exit 0, fem and verify exited 2 ("mass matrix has a zero entry") and green 3
+        (NotPositiveDefinite). The weight refuses the order before its arrays exist."""
+        code, out, err = run_cli(*argv, "--beta2", "1e-300", "--n", "100")
+        assert (code, out) == (3, "")
+        assert err == "RangeOverflow: masses underflow to 0 at N = 100\n"
+
+    def test_subnormal_masses_are_kept(self):
+        """At N = 79 the last mass is the least subnormal, not 0."""
+        code, out, _ = run_cli("weight", "--beta2", "1e-300", "--n", "79", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[2] == "5e-324"
+
     @pytest.mark.parametrize("command", ["matrix", "weight"])
     def test_overflowing_jump_is_two(self, command):
         """d*beta1 + beta2 - beta1 = 2e308 overflows: the parameters are refused with

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import selfsimspec as ss
@@ -40,6 +40,11 @@ class TestSturmCount:
         xs = np.sort(rng.uniform(-1.0, float(T.diag[-1]) * 2.0, size=300))
         counts = [ss.sturm_count(T, x) for x in xs]
         assert all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
+
+    def test_nan_probe_rejected(self):
+        """No pivot is negative at a NaN shift, so the count read 0."""
+        with pytest.raises(ss.OutOfRange, match="NaN"):
+            ss.sturm_count(_tridiag([1.0, 2.0], [0.5]), math.nan)
 
 
 def _careful_counts(diag, off, mass, xs):
@@ -243,6 +248,18 @@ class TestTridiagEigs:
         ratios = vals[10:20] / vals[9:19]
         np.testing.assert_allclose(ratios, 4.0, rtol=1e-10)
 
+    @pytest.mark.parametrize(
+        "diag,off,needle",
+        [
+            ([1.0, 2.0], [math.nan], "finite"),  # gave [1.0] with dropped = 1 and no error
+            ([1.0, 2.0, 3.0], [0.5], "off-diagonal"),  # an IndexError
+            ([], [], ">= 1"),  # numpy's ValueError from a minimum over no entries
+        ],
+    )
+    def test_malformed_tridiagonal_rejected(self, diag, off, needle):
+        with pytest.raises(ss.OutOfRange, match=needle):
+            ss.tridiag_eigs(_tridiag(diag, off))
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 9))
     @settings(deadline=None, max_examples=40)
     def test_random_tridiagonals_match_dense_oracle(self, seed, n):
@@ -271,6 +288,13 @@ class TestSolvePencil:
         K = _tridiag([6.0, 8.0], [-4.0])
         with pytest.raises(ss.DegenerateWeight):
             ss.PencilProblem(K, [1.0, 0.0], 2)
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_non_finite_mass_rejected(self, mass):
+        """A NaN mass solved to one eigenvalue with dropped = 1, an infinite one to an
+        eigenvalue of exactly 0.0, both with residual_bound = eps and no error."""
+        with pytest.raises(ss.OutOfRange, match="finite"):
+            ss.solve_pencil(ss.PencilProblem(_tridiag([6.0, 8.0], [-4.0]), [1.0, mass], 2))
 
     def test_eigenpairs_satisfy_the_pencil(self):
         w = ss.weight_truncation(P, 10)
@@ -462,6 +486,79 @@ def _twist_case(seed, n, signed):
     T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     exact = np.linalg.eigvals(T / m[:, None]).real
     return d, e, m, np.concatenate((exact, rng.standard_normal(20)))
+
+
+def _nearest_change_cut(lo, pts, hi, up, m):
+    """The fan's rule written out, a reference for _cut: the change of count nearest column m
+    of the ends [lo, pts, hi], as (new lo, new hi)."""
+    up = np.hstack((np.zeros_like(lo, bool), up, np.ones_like(hi, bool)))
+    after = m - 1 + np.argmax(up[:, m:], axis=1)  # just before the first >= idx from m
+    before = m - 1 - np.argmax(~up[:, m - 1 :: -1], axis=1)  # the last < idx before m
+    c = np.where(up[:, m], before, after)
+    ends = np.hstack((lo, pts, hi))
+    return ends[np.arange(len(pts)), c], ends[np.arange(len(pts)), c + 1]
+
+
+def _first_change_cut(lo, pts, hi, up):
+    """Multisection's rule written out, a reference for _cut: the ends before the first
+    count >= idx, as (new lo, new hi); monotone even if roundoff is not."""
+    c = np.sum(~np.logical_or.accumulate(up, axis=1), axis=1)
+    ends = np.hstack((lo, pts, hi))
+    return ends[np.arange(len(pts)), c], ends[np.arange(len(pts)), c + 1]
+
+
+@st.composite
+def _brackets(draw):
+    """Finite lo < hi, not adjacent doubles, as the probe grid leaves them: within a factor of
+    2 or ending at 0, of either sign, subnormal ends included, below 1/_MU_GUARD."""
+    hi = draw(st.floats(np.nextafter(0.0, 1.0), 1.0 / eigensolve._MU_GUARD))
+    lo = 0.0 if draw(st.booleans()) else draw(st.floats(hi / 2.0, hi))
+    if draw(st.booleans()):
+        lo, hi = -hi, -lo
+    assume(lo < hi and np.nextafter(lo, hi) != hi)
+    return lo, hi
+
+
+class TestCut:
+    """solve_pencil cuts every bracket by one rule, _cut at the change of count nearest
+    column m: m = 1 for multisection's equal parts, the middle of the fan for the fan."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 63), st.booleans())
+    @example(0, 3, 9, False)
+    @settings(deadline=None, max_examples=200)
+    def test_equals_the_rules_it_replaces(self, seed, rows, width, monotone):
+        """On random rows of ends lo < pts < hi and counts, monotone or not: at m = 1 the
+        first change from the left, bit for bit; at the fan's middle column, with its
+        points, the change nearest that column."""
+        rng = np.random.default_rng(seed)
+        for m, n in ((1, width), (1 + len(eigensolve._FAN) // 2, len(eigensolve._FAN))):
+            ends = np.sort(rng.uniform(-10.0, 10.0, (rows, n + 2)), axis=1)
+            lo, pts, hi = ends[:, :1], ends[:, 1:-1], ends[:, -1:]
+            if monotone:
+                up = np.arange(n) >= rng.integers(0, n + 1, (rows, 1))
+            else:
+                up = rng.random((rows, n)) < 0.5
+            want = _first_change_cut(lo, pts, hi, up) if m == 1 else \
+                _nearest_change_cut(lo, pts, hi, up, m)
+            for got, exp in zip(eigensolve._cut(lo, pts, hi, up, m), want):
+                np.testing.assert_array_equal(got, exp)
+
+    @given(_brackets())
+    @example((0.0, 3 * np.nextafter(0.0, 1.0)))  # (hi - lo)*0.5, 1.5 least steps, rounds to 2
+    @example((1.0, 1.0 + 2 * np.finfo(float).eps))  # a 2-ulp bracket
+    @example((-2.0 * np.finfo(float).tiny, -np.finfo(float).tiny))  # ends at the least normal
+    @example((np.finfo(float).tiny - np.nextafter(0.0, 1.0), 2.0 * np.finfo(float).tiny))
+    @example((2.0**-1, 1.0 - np.finfo(float).eps / 2))  # a binade less one ulp
+    @settings(deadline=None, max_examples=200)
+    def test_every_multisection_cut_shrinks(self, bracket):
+        """No bracket sticks, which is why solve_pencil keeps no stuck state: for every
+        number of parts a count can take, some point solve_pencil probes lies strictly
+        inside a bracket wider than adjacent doubles, so every cut shrinks it."""
+        lo, hi = bracket
+        for parts in 2 ** np.arange(1, 7):
+            frac = np.arange(1, parts) / parts
+            pts = np.minimum(np.maximum(lo + (hi - lo) * frac, lo), hi)
+            assert np.any((pts > lo) & (pts < hi)), (lo, hi, parts)
 
 
 class TestRayleighStage:

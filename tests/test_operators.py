@@ -190,11 +190,22 @@ class TestBoundaryFunctional:
             s = ss.eigenfunction_slopes(w, Y[:, k])
             assert abs(ss.boundary_functional(P, s)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_slopes_of_the_wrong_length_rejected(self, n):
+        """numpy's broadcast error, or slopes read past the nodal values, before."""
+        with pytest.raises(ss.OutOfRange, match="5 nodal values"):
+            ss.eigenfunction_slopes(ss.weight_truncation(P, 5), np.ones(n))
+
 
 class TestSymmetryDefect:
     def test_basis_pair_cancels_exactly(self):
         # the e1/e2 pair probes a single edge: w2*(-d*q) against w1*(-q)
         assert ss.symmetry_defect(P, [1.0], [0.0, 1.0], 10) == 0.0
+
+    def test_vectors_longer_than_the_order_rejected(self):
+        """numpy's broadcast error before."""
+        with pytest.raises(ss.OutOfRange, match="at most N = 5"):
+            ss.symmetry_defect(P, np.ones(6), np.ones(3), 5)
 
     def test_canonical_random_pairs_exact_zero(self):
         rng = np.random.default_rng(7)
