@@ -24,7 +24,8 @@ here therefore works with relative thresholds:
   term, so eigenvalues near 2.2e-308 keep their digits;
 * twisted LDL^T factorizations, O(N) each, one helper for those steps
   and for the pencil eigenvectors: one pass runs the forward and the
-  backward factorization side by side and keeps every step;
+  backward factorization side by side and keeps every step in one
+  buffer, which the Rayleigh steps turn into their sums in place;
 * the Green-kernel route, which shares no code with the core: the
   weighted Green matrix W G W = L L^T by LAPACK's Cholesky, then
   L^T sign(M) L by Jacobi, whose eigenvalues are the reciprocals. Each
@@ -38,10 +39,9 @@ here therefore works with relative thresholds:
   rows rotate again. The matrix is then symmetric to roundoff only, so
   every test reads the entries above the diagonal. No product of two
   entries is formed, and graded positive definite inputs keep high
-  relative accuracy. The route holds _GREEN_BYTES per matrix entry at
-  once, so orders beyond 6553 (for the 1 GiB operators._DENSE_BUDGET)
-  are refused before anything is allocated; the eigenvectors likewise
-  beyond 5704 (_TWIST_BYTES).
+  relative accuracy. The route holds _DENSE_BYTES per matrix entry at
+  once, as the pencil eigenvectors do, so both refuse orders beyond 6553
+  (for the 1 GiB operators._DENSE_BUDGET) before anything is allocated.
 
 Iteration caps (120 bisection steps, 30 Jacobi sweeps) are diagnostics,
 not tunables; no solver takes a tolerance.
@@ -76,17 +76,26 @@ _EPS = np.finfo(float).eps
 # brackets qualify, at any order (a sweep costs per row, like a count, and a few take most
 # estimates to roundoff, where multisection gains at most 6 bits a count); each estimate
 # steps until a step is below _RQ_STOP relative, it leaves its bracket, or _RQ_CAP; the fan
-# probes x and x*(1 + _FAN); a sweep's kept pivots and sums take at most _TWIST_BUDGET bytes.
-# A twist holds _TWIST_BYTES per (row, shift) at once: its pivots and sums, float64 of shape
-# (n, 2, shifts) each, 32 in all, and a 33rd for the O(n) state and row blocks beside them,
-# as in _GREEN_BYTES. The same bounds pencil_eigenpairs: orders up to 5704 for 1 GiB.
+# probes x and x*(1 + _FAN); a sweep's twists take at most _TWIST_BUDGET bytes at once.
+# A twist holds _TWIST_BYTES per (row, shift) at once: one float64 buffer of shape
+# (n + 1, 2, shifts), its pivots and then, in place, _zmz's sums, 16 in all, and the O(n)
+# state and the row blocks beside it, under 2 more where the budget binds (n from ~1400;
+# 17.3 measured at n = 2000 with 2000 shifts). The budget keeps the buffer under glibc's
+# 32 MiB ceiling for its mmap threshold, so the heap serves each twist's buffer again; a
+# larger one is mapped afresh and its pages faulted in on every twist.
 _RQ_NARROW = 1.0 / 8.0
 _RQ_SHARE = 0.9
 _RQ_STOP = 1e-8
 _RQ_CAP = 8
 _FAN = np.array([-64.0, -16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0]) * _EPS
-_TWIST_BUDGET = 2**26
-_TWIST_BYTES = 33
+_TWIST_BUDGET = 2**25
+_TWIST_BYTES = 18
+# Bytes per matrix entry the dense routes hold at once. Green: G, LAPACK's copy of it and L in
+# the Cholesky, then G's buffer, L and L^T S L, then in Jacobi A and B (float64 each), 24 in
+# all; the stop test's row blocks and the rounds' per-pair arrays fit in the 25th.
+# pencil_eigenpairs: the twist's buffer, 16, and the vectors, 8; its O(n) state fits in the
+# 25th. Orders up to 6553 for 1 GiB.
+_DENSE_BYTES = 25
 
 
 @dataclass(frozen=True)
@@ -160,9 +169,9 @@ def _pivot_blocks(diag, off, mass, xs):
     redone by _pivots, so every pivot is the clamped recurrence's. Several
     factorizations can run side by side: diag and mass of shape (n, c) and
     off of shape (n - 1, c, 1) give pivots of shape (c, len(xs)) per row
-    (_twist runs the forward and the backward one so, and keeps every
-    block). The caller sets np.errstate and must not write to the yielded
-    pivots.
+    (_twist runs the forward and the backward one so, and copies every
+    block into its buffer). The caller sets np.errstate and must not write
+    to the yielded pivots.
     """
     diag, mass = diag[..., None], mass[..., None]
     off = np.concatenate((np.zeros((1,) + off.shape[1:]), off))  # row i to row i - 1
@@ -212,38 +221,51 @@ def _twist(diag, off, mass, xs):
     the mass-scaled problem: on a graded pencil the roundoff of gamma's large
     rows exceeds its true minimum (_twist_index). The z with z_r = 1 that the
     two bidiagonal factors carry outward solves (T - x*diag(mass)) z =
-    gamma_r e_r, so its Rayleigh quotient is x + gamma_r / (z^T diag(mass) z),
-    and no vector is formed: off_i coupling row i to row i - 1, the sums
-    s_i = m_i + (off_i / piv_(i-1))^2 s_(i-1), s_0 = m_0, add m_j z_j^2 over
-    the rows up to i, so z^T diag(mass) z is the forward and the backward
-    sums at r less m_r. The sums run on the masses times 2^-e, e >= 0 the
-    exponent of the largest |m_i|: exact, and finite where masses near 1e308
-    would overflow them.
+    gamma_r e_r, so its Rayleigh quotient is x + gamma_r / (z^T diag(mass) z)
+    (_zmz sums that from the pivots).
 
     One pass runs both factorizations side by side, step s taking row s
-    forward and row n-1-s backward, and keeps every step: the pivots, then
-    the sums, of shape (n, 2, len(xs)) each. Returns (r, gamma_r,
-    z^T diag(mass) z * 2^-e, e, D+, D-), D+ and D- of shape (n, len(xs)),
-    views of the kept pivots.
+    forward and row n-1-s backward, and keeps every step in one float64
+    buffer of shape (n + 1, 2, len(xs)): the pivots of step s in row s + 1,
+    row 0 left for _zmz. Returns (r, gamma_r, buffer); D+ = buffer[1:, 0] and
+    D- = buffer[:0:-1, 1], of shape (n, len(xs)).
     """
-    n, cols = len(diag), np.arange(len(xs))
+    cols = np.arange(len(xs))
     d_2, e_2, m_2 = (np.stack((v, v[::-1]), axis=1) for v in (diag, off, mass))
+    buf = np.empty((len(diag) + 1, 2, len(xs)))
+    piv = buf[1:]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        piv = np.concatenate([rows for _, rows in _pivot_blocks(d_2, e_2[..., None], m_2, xs)])
+        for sl, rows in _pivot_blocks(d_2, e_2[..., None], m_2, xs):
+            piv[sl] = rows
         fwd, bwd = piv[:, 0], piv[::-1, 1]
         r = _twist_index(fwd, bwd, diag, mass, xs)
         gamma = fwd[r, cols] + bwd[r, cols] - (diag[r] - mass[r] * xs)
-        e = max(0, math.frexp(float(np.max(np.abs(mass))))[1])
-        m_s = np.ldexp(m_2, -e)[..., None]
-        sums = np.empty_like(piv)
-        sums[0] = m_s[0]
-        sq = np.divide(e_2[..., None], piv[:-1], out=sums[1:])
+    return r, gamma, buf
+
+
+def _zmz(buf, r, off, mass):
+    """z^T diag(mass) z * 2^-e of _twist's vectors, and e, from its buffer, overwritten.
+
+    off_i coupling row i to row i - 1, the sums s_i = m_i + (off_i /
+    piv_(i-1))^2 s_(i-1), s_0 = m_0, add m_j z_j^2 over the rows up to i, so
+    z^T diag(mass) z is the forward and the backward sums at r less m_r. Sum i
+    needs only the ratio of pivot i - 1, which lies in buffer row i: squaring
+    the ratios in rows 1..n-1, m_0 in row 0 and then row i *= row i - 1, row
+    i += m_i leaves sum i in row i, both directions at once. The sums run on
+    the masses times 2^-e, e >= 0 the exponent of the largest |m_i|: exact,
+    and finite where masses near 1e308 would overflow them.
+    """
+    n, cols = len(mass), np.arange(buf.shape[2])
+    e = max(0, math.frexp(float(np.max(np.abs(mass))))[1])
+    m_s = np.ldexp(np.stack((mass, mass[::-1]), axis=1), -e)[..., None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq = np.divide(np.stack((off, off[::-1]), axis=1)[..., None], buf[1:n], out=buf[1:n])
         sq *= sq
+        buf[0] = m_s[0]
         for i in range(1, n):
-            sums[i] *= sums[i - 1]
-            sums[i] += m_s[i]
-        zmz = sums[r, 0, cols] + sums[n - 1 - r, 1, cols] - m_s[r, 0, 0]
-    return r, gamma, zmz, e, fwd, bwd
+            buf[i] *= buf[i - 1]
+            buf[i] += m_s[i]
+        return buf[r, 0, cols] + buf[n - 1 - r, 1, cols] - m_s[r, 0, 0], e
 
 
 def _twist_index(fwd, bwd, diag, mass, xs):
@@ -251,8 +273,7 @@ def _twist_index(fwd, bwd, diag, mass, xs):
 
     np.argmin within each block of _BLOCK rows, then over the blocks' minima, which is
     np.argmin's rule over all rows (ties and NaN go to the lowest) by construction. No
-    n x len(xs) array is formed beside the pivots, and the block arrays are gone before
-    _twist allocates the sums. The caller sets np.errstate.
+    n x len(xs) array is formed beside the pivots. The caller sets np.errstate.
     """
     cols = np.arange(len(xs))
     least = np.empty((-(-len(diag) // _BLOCK), len(xs)))
@@ -446,13 +467,6 @@ def _pair_views(X: np.ndarray, s: int, parts, step: int, inner=(), inner_strides
             for first, count, width in parts]
 
 
-# Bytes per matrix entry the Green route holds at once: G, LAPACK's copy of it and L in the
-# Cholesky, then G's buffer, L and L^T S L, then in Jacobi A and B (float64 each), 24 in all;
-# the stop test's row blocks and the rounds' per-pair arrays fit in the 25th. Orders up to
-# 6553 for 1 GiB.
-_GREEN_BYTES = 25
-
-
 def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
     """Eigenvalues lambda = 1/mu, ascending, where G*diag(masses) y = mu y.
 
@@ -508,9 +522,10 @@ def _rayleigh(K: TridiagonalSymmetric, M: np.ndarray, los, his) -> np.ndarray:
     (see _twist), a Newton step on gamma_r. Each estimate steps until a step
     is below _RQ_STOP relative (the convergence is quadratic, so the next
     would be below roundoff) or leaves its bracket, which leaves NaN; those
-    still moving after _RQ_CAP steps keep their last x. The factorizations
-    take at most _TWIST_BUDGET bytes at once, so many brackets go in chunks.
-    _twist's sums are scaled by 2^-e, so gamma_r over them is the step times
+    still moving after _RQ_CAP steps keep their last x. Each twist's buffer
+    becomes its sums in place (_zmz) and is dropped before the next twist, so
+    at most _TWIST_BUDGET bytes are held at once and many brackets go in
+    chunks. The sums are scaled by 2^-e, so gamma_r over them is the step times
     2^e, below 2|x|*max|m| for a step inside the bracket: under 1e300 at
     max-order points (8.6e299 at (0.2, -1.5, 0.3, 1), N = 429), where x*2^e
     would come close to overflow, so the sums are scaled and not x.
@@ -522,7 +537,9 @@ def _rayleigh(K: TridiagonalSymmetric, M: np.ndarray, los, his) -> np.ndarray:
     for _ in range(_RQ_CAP):
         step = np.empty(len(live))
         for s in range(0, len(live), chunk):
-            _, gamma, zmz, e, _, _ = _twist(K.diag, K.offdiag, M, x[live[s : s + chunk]])
+            r, gamma, buf = _twist(K.diag, K.offdiag, M, x[live[s : s + chunk]])
+            zmz, e = _zmz(buf, r, K.offdiag, M)
+            del buf  # before the next twist allocates its own
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 step[s : s + chunk] = np.ldexp(gamma / zmz, -e)
         new = x[live] + step
@@ -644,7 +661,8 @@ def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
     """
     d, e, m = p.K.diag, p.K.offdiag, p.M
     n, k = p.order, len(lam)
-    r, _, _, _, fwd, bwd = _twist(d, e, m, lam)
+    r, _, buf = _twist(d, e, m, lam)
+    fwd, bwd = buf[1:, 0], buf[:0:-1, 1]
     X = np.zeros((n, k))
     X[r, np.arange(k)] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -673,10 +691,10 @@ def pencil_eigenpairs(p: PencilProblem) -> tuple[np.ndarray, np.ndarray, Eigenva
     Eigenvalues come from solve_pencil, eigenvectors from one twisted
     factorization each, with the componentwise accuracy that slope and
     form checks need. Returns (lambda ascending, y columns, EigenvalueList).
-    An order beyond the dense budget for _TWIST_BYTES raises OutOfRange before
+    An order beyond the dense budget for _DENSE_BYTES raises OutOfRange before
     anything of size N x N is allocated.
     """
-    _check_dense("eigenvector", p.order, _TWIST_BYTES)
+    _check_dense("eigenvector", p.order, _DENSE_BYTES)
     info = solve_pencil(p)
     return info.values, _twisted_vectors(p, info.values), info
 

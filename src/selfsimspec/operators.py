@@ -94,7 +94,7 @@ def _check_order(params: SelfSimilarParams, N: int) -> None:
     if N > params.max_order:
         raise RangeOverflow(
             f"order {N} beyond the range guard {params.max_order} "
-            f"(entries ~ q^N leave double range)"
+            f"(gaps, entries or masses leave double range)"
         )
 
 

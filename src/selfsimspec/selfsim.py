@@ -45,8 +45,8 @@ class SelfSimilarParams:
     """Validated parameter tuple with the derived constants attached.
 
     max_order is the largest truncation order N for which a^N stays above
-    the underflow floor and |q|^N below the overflow ceiling; section
-    builders refuse larger N.
+    the underflow floor, |q|^N below the overflow ceiling and the last mass
+    is not 0; section builders and solvers refuse larger N.
     """
 
     a: float
@@ -127,7 +127,16 @@ def make_params(a: float, d: float, beta1: float, beta2: float) -> SelfSimilarPa
     max_order = min(n_gap, n_entry)
     if abs(d) > 1.0:
         max_order = min(max_order, math.floor(math.log(_ENTRY_CEIL) / math.log(abs(d))))
-    return SelfSimilarParams(a, d, beta1, beta2, q, r, max_order)
+    params = SelfSimilarParams(a, d, beta1, beta2, q, r, max_order)
+    if abs(d) < 1.0 and _masses(params, np.array([max_order - 1.0]))[0] == 0.0:
+        # the masses shrink to 0 first: the last order whose last mass, by _masses' own
+        # expression, is not 0; the mass at order lo is not 0, at order hi it is
+        lo, hi = 1, max_order
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _masses(params, np.array([mid - 1.0]))[0] != 0.0 else (lo, mid)
+        params = SelfSimilarParams(a, d, beta1, beta2, q, r, lo)
+    return params
 
 
 def _masses(params: SelfSimilarParams, exponents: np.ndarray) -> np.ndarray:

@@ -33,8 +33,7 @@ import numpy as np
 
 from .errors import EmptyWindow, OutOfRange, WrongSign
 from .eigensolve import (
-    _GREEN_BYTES,
-    _TWIST_BYTES,
+    _DENSE_BYTES,
     PencilProblem,
     pencil_eigenpairs,
     solve_green,
@@ -198,7 +197,7 @@ def compute_spectrum(
         if formulation == "fem-pencil":
             ev = solve_pencil(_fem_pencil(w))
         else:
-            _check_dense("green-kernel", N, _GREEN_BYTES)
+            _check_dense("green-kernel", N, _DENSE_BYTES)
             ev = solve_green(_green_unweighted(w), w.masses)
     return SpectrumResult(params, N, formulation, _select(ev.values, count), ev.dropped)
 
@@ -314,10 +313,9 @@ def verify_suite(params: SelfSimilarParams, N: int = 20) -> list[tuple[str, bool
     seed. Covers the fixed-point property of the step function (relative
     to max(|beta1|, |beta2|, 1)), formal symmetry of the section (relative
     to the size of the paired edge terms it cancels), the quadratic-form
-    identity and boundary functional on eigenfunctions (at the largest
-    order pencil_eigenpairs allows, if N is beyond it), agreement of the
-    pencil and Green formulations (at the largest order green-kernel
-    allows, if N is beyond it), and the inertia count: kept plus dropped
+    identity and boundary functional on eigenfunctions and agreement of the
+    pencil and Green formulations (at the largest order the dense routes
+    allow, if N is beyond it), and the inertia count: kept plus dropped
     eigenvalues make N, and the weight's negative masses lie between the
     kept negative eigenvalues and those plus the dropped ones. Each line
     names the order it ran at.
@@ -345,9 +343,10 @@ def verify_suite(params: SelfSimilarParams, N: int = 20) -> list[tuple[str, bool
         worst = max(worst, defect / scale if scale > 0.0 else defect)
     out.append(("symmetry defect", worst <= 1e-12, f"max {worst:.3e} over 20 pairs at order {Ms}"))
 
-    # the eigenvectors are N x N: at the largest order pencil_eigenpairs allows, if N is beyond it
+    # the eigenvectors and the Green matrix are N x N: at the largest order both allow, if N
+    # is beyond it
     w = weight_truncation(params, M)
-    Mv = min(M, _dense_max_order(_TWIST_BYTES))
+    Mv = min(M, _dense_max_order(_DENSE_BYTES))
     wv = w if Mv == M else weight_truncation(params, Mv)
     lam, Y, ev = pencil_eigenpairs(_fem_pencil(wv))
     worst_form = 0.0
@@ -362,12 +361,10 @@ def verify_suite(params: SelfSimilarParams, N: int = 20) -> list[tuple[str, bool
                 f"max rel {worst_form:.3e} at order {Mv}"))
     out.append(("boundary functional", worst_bnd <= 1e-9, f"max rel {worst_bnd:.3e} at order {Mv}"))
 
+    fg = _max_rel_diff(lam, compute_spectrum(params, Mv, "green-kernel").values)
+    out.append(("fem vs green spectra", fg <= 1e-10, f"max rel {fg:.3e} at order {Mv}"))
     if Mv < M:
         ev = solve_pencil(_fem_pencil(w))
-    Mg = min(M, _dense_max_order(_GREEN_BYTES))
-    fem = ev.values if Mg == M else compute_spectrum(params, Mg, "fem-pencil").values
-    fg = _max_rel_diff(fem, compute_spectrum(params, Mg, "green-kernel").values)
-    out.append(("fem vs green spectra", fg <= 1e-10, f"max rel {fg:.3e} at order {Mg}"))
 
     # eigenvalues beyond the range guard are dropped, of either sign
     neg_m = int(np.sum(w.masses < 0.0))

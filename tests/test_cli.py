@@ -167,12 +167,18 @@ class TestExitCodes:
     )
     def test_underflowing_masses_are_three(self, argv):
         """At beta2 = 1e-300 the last mass, 1e-300 * 0.5^(N-1), underflows to 0 from N = 80,
-        although max_order is 481: weight printed masses of 0.0 and matrix a zero diagonal
-        with exit 0, fem and verify exited 2 ("mass matrix has a zero entry") and green 3
-        (NotPositiveDefinite). The weight refuses the order before its arrays exist."""
+        so max_order is 79: weight printed masses of 0.0 and matrix a zero diagonal with exit
+        0, fem and verify exited 2 ("mass matrix has a zero entry") and green 3
+        (NotPositiveDefinite). The weight refuses the order before its arrays exist, the
+        matrix and the solvers refuse it at the range guard, and verify runs at order 79,
+        where every eigenvalue lies beyond the 1e290 guard."""
         code, out, err = run_cli(*argv, "--beta2", "1e-300", "--n", "100")
         assert (code, out) == (3, "")
-        assert err == "RangeOverflow: masses underflow to 0 at N = 100\n"
+        assert err == {
+            "weight": "RangeOverflow: masses underflow to 0 at N = 100",
+            "verify": "ZeroEigenvalue: every eigenvalue lies beyond the range guard",
+        }.get(argv[0], "RangeOverflow: order 100 beyond the range guard 79 "
+                       "(gaps, entries or masses leave double range)") + "\n"
 
     def test_subnormal_masses_are_kept(self):
         """At N = 79 the last mass is the least subnormal, not 0."""
@@ -372,9 +378,11 @@ class TestOutputContracts:
         """At beta2 = 1e-300, r = 5e-301 puts every eigenvalue above 5e300,
         beyond the solver's range guard. Dividing the section eigenvalues by
         r printed Infinity tokens (not JSON) and exited 0; with r in the
-        mass the solver reports the failure."""
+        mass the solver reports the failure. N = 79 is max_order there, the
+        last order whose weight has no mass underflowing to 0 (it was 150,
+        which now stops at the range guard)."""
         code, out, err = run_cli(
-            "spectrum", "--formulation", "jacobi", "--beta2", "1e-300", "--n", "150"
+            "spectrum", "--formulation", "jacobi", "--beta2", "1e-300", "--n", "79"
         )
         assert code == 3
         assert out == ""

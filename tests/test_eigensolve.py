@@ -1,4 +1,8 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -666,7 +670,8 @@ class TestRayleighStage:
         got = ss.solve_pencil(pencil)
         assert got.passes <= 9
         x = got.values[:1] * (1.0 + 1e-6)
-        r, gamma, zmz, scale, _, _ = eigensolve._twist(pencil.K.diag, pencil.K.offdiag, w.masses, x)
+        r, gamma, buf = eigensolve._twist(pencil.K.diag, pencil.K.offdiag, w.masses, x)
+        zmz, scale = eigensolve._zmz(buf, r, pencil.K.offdiag, w.masses)
         assert r[0] == 0 and scale == 1024 and np.isfinite(zmz).all()
         step = np.ldexp(gamma / zmz, -scale)
         assert abs(x[0] + step[0] - got.values[0]) <= 1e-9 * got.values[0]
@@ -694,9 +699,11 @@ class TestRayleighStage:
         """One pass runs both factorizations side by side and keeps every step; the twist
         index, taken block by block and then over the blocks, is np.argmin's over all rows,
         ties and NaN included: r, gamma_r and z^T M z are bit for bit those of the plain
-        recurrences, the sums undone by their power-of-two scale."""
+        recurrences, the sums, formed in place over the pivots, undone by their power-of-two
+        scale."""
         d, e, m, xs = case
-        r, gamma, zmz, scale, _, _ = eigensolve._twist(d, e, m, xs)
+        r, gamma, buf = eigensolve._twist(d, e, m, xs)
+        zmz, scale = eigensolve._zmz(buf, r, e, m)
         for got, want in zip((r, gamma, np.ldexp(zmz, scale)), _row_by_row_twist(d, e, m, xs)):
             np.testing.assert_array_equal(got, want)
 
@@ -854,7 +861,7 @@ class TestDenseJacobi:
 
     def test_green_peak_memory_is_within_its_budget(self):
         """Under tracemalloc a Green solve at N = 300, its input buffer G included, holds at
-        most _GREEN_BYTES per entry at once: no n x n transient beyond three arrays and no
+        most _DENSE_BYTES per entry at once: no n x n transient beyond three arrays and no
         cache in the Jacobi rounds. (LAPACK's working copy in the Cholesky is not traced;
         the budget counts it beside G and L.)"""
         N = 300
@@ -866,7 +873,7 @@ class TestDenseJacobi:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert G.nbytes + peak <= eigensolve._GREEN_BYTES * N * N
+        assert G.nbytes + peak <= eigensolve._DENSE_BYTES * N * N
 
     def test_canonical_green_rotates_in_few_rounds(self, monkeypatch):
         """At the canonical N = 300 every rotated pair has |p - q| <= 26, so
@@ -908,9 +915,9 @@ class TestInverseIteration:
 
     def test_eigenpairs_peak_memory_is_within_its_budget(self):
         """Under tracemalloc pencil_eigenpairs at (0.9, 0.9), N = 1000, holds at most
-        _TWIST_BYTES per entry at once: the twist's pivots and sums, 32 bytes, and then the
-        pivots and the vectors, with no n x n square or mask in the normalisation; the O(n)
-        state and the row blocks fit in the 33rd byte at this order."""
+        _DENSE_BYTES per entry at once: the twist's one buffer of pivots, 16 bytes, and the
+        vectors, 8, with no sums, no n x n square and no mask in the normalisation; the O(n)
+        state and the row blocks fit in the 25th byte at this order (24.1 measured)."""
         N = 1000
         pencil = spectral._fem_pencil(ss.weight_truncation(ss.make_params(0.9, 0.9, 0.0, 1.0), N))
         self._unit_mass(_tridiag([1.0, 2.0], [0.5]))  # the first call's one-time allocations
@@ -920,4 +927,59 @@ class TestInverseIteration:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= eigensolve._TWIST_BYTES * N * N
+        assert peak <= eigensolve._DENSE_BYTES * N * N
+
+
+# One warm-up fem solve at (a, d, 0, 1) and order N, then the given number more: prints the
+# process's minor page faults after the warm-up. Arguments: a d N solves.
+_FAULTS_CHILD = """
+import resource, sys
+import selfsimspec as ss
+from selfsimspec import spectral
+a, d, n, solves = float(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+pencil = spectral._fem_pencil(ss.weight_truncation(ss.make_params(a, d, 0.0, 1.0), n))
+ss.solve_pencil(pencil)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt, flush=True)
+for _ in range(solves):
+    ss.solve_pencil(pencil)
+"""
+
+
+class TestTwistMemory:
+    """A twist keeps one buffer, its pivots, which _zmz turns into the sums in place."""
+
+    def test_solve_peak_memory(self):
+        """Under tracemalloc fem at (0.9, 0.9), N = 1000, peaks at most at 20 MB: the first
+        Rayleigh sweep's twist, 16 bytes per (row, shift) with one shift per eigenvalue
+        (18.3 MB measured; a second array for the sums made it 32.4 MB)."""
+        N = 1000
+        pencil = spectral._fem_pencil(ss.weight_truncation(ss.make_params(0.9, 0.9, 0.0, 1.0), N))
+        ss.solve_pencil(_route_pencil(P, 20, "fem"))  # the first call's one-time allocations
+        tracemalloc.start()
+        try:
+            ss.solve_pencil(pencil)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
+
+    @pytest.mark.skipif(not hasattr(os, "wait4") or platform.libc_ver()[0] != "glibc",
+                        reason="needs os.wait4 and glibc malloc")
+    @pytest.mark.parametrize("args", [("0.5", "0.5", "300", "5"), ("0.99", "0.99", "1500", "1")],
+                             ids=["canonical-300", "weak-1500"])
+    def test_repeated_solves_fault_in_no_pages(self, args):
+        """In a fresh interpreter, after one warm-up, five canonical fem solves at N = 300
+        take under 100 minor page faults in all, process exit included (about a dozen
+        measured). Pivots and sums freed together, 2.9 MB, crossed glibc's trim threshold,
+        so the heap was trimmed after each twist and the next one faulted its pages in
+        again: some 14500 faults. At (0.99, 0.99), N = 1500, where the twist budget
+        splits a sweep, one solve read 25000 faults that way, and 3700 with a 64 MiB budget,
+        whose 36 MB buffer glibc maps afresh each time."""
+        proc = subprocess.Popen([sys.executable, "-c", _FAULTS_CHILD, *args],
+                                stdout=subprocess.PIPE, text=True)
+        after_warm_up = int(proc.stdout.read())
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        proc.stdout.close()
+        assert proc.returncode == 0
+        assert usage.ru_minflt - after_warm_up < 100

@@ -2,7 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import selfsimspec as ss
 from conftest import canonical, valid_params
@@ -48,6 +49,27 @@ class TestMakeParams:
         # d*beta1 + beta2 - beta1 = 0.5 + 0.5 - 1 = 0
         with pytest.raises(ss.DegenerateWeight):
             ss.make_params(0.5, 0.5, 1.0, 0.5)
+
+    @given(st.floats(0.05, 0.95), st.floats(0.02, 0.5), st.sampled_from((-1.0, 1.0)),
+           st.floats(-320.0, -100.0))
+    @example(0.5, 0.5, 1.0, -200.0)  # max_order 411: the gap and entry guards allow 481
+    @example(0.5, 0.5, 1.0, -300.0)  # 79
+    @settings(deadline=None, max_examples=25)
+    def test_max_order_keeps_the_last_mass(self, a, d, sign, exponent):
+        """With |d| < 1 the masses shrink and can underflow to 0 before the other guards
+        bind: max_order stops at the last order whose last mass is not 0, so the weight and
+        fem hold there and every route refuses the next order at the range guard. Below
+        beta2 ~ 1e-289 every eigenvalue lies beyond the 1e290 guard, which fem says instead."""
+        p = ss.make_params(a, sign * d, 0.0, 10.0**exponent)
+        assert ss.weight_truncation(p, p.max_order).masses[-1] != 0.0
+        try:
+            spec = ss.compute_spectrum(p, p.max_order)
+            assert len(spec.values) + spec.dropped == p.max_order
+        except ss.ZeroEigenvalue:
+            assert exponent < -288.0
+        for formulation in ss.FORMULATIONS:
+            with pytest.raises(ss.RangeOverflow, match="beyond the range guard"):
+                ss.compute_spectrum(p, p.max_order + 1, formulation)
 
 
 class TestWeightTruncation:

@@ -63,7 +63,7 @@ class TestComputeSpectrum:
         p = ss.make_params(0.99, 0.99, 0.0, 1.0)
         assert p.max_order > 20000
         start = time.perf_counter()
-        top = operators._dense_max_order(eigensolve._GREEN_BYTES)
+        top = operators._dense_max_order(eigensolve._DENSE_BYTES)
         with pytest.raises(ss.OutOfRange, match=f"order 20000 exceeds {top}"):
             ss.compute_spectrum(p, 20000, "green-kernel")
         assert time.perf_counter() - start < 1.0
@@ -339,7 +339,7 @@ class TestVerifySuite:
 
     def test_green_line_runs_at_the_largest_order_green_allows(self, monkeypatch):
         monkeypatch.setattr(operators, "_DENSE_BUDGET", 25 * 12**2)
-        assert operators._dense_max_order(eigensolve._GREEN_BYTES) == 12
+        assert operators._dense_max_order(eigensolve._DENSE_BYTES) == 12
         with pytest.raises(ss.OutOfRange):
             ss.compute_spectrum(P, 13, "green-kernel")
         results = {name: (ok, detail) for name, ok, detail in ss.verify_suite(P, N=20)}
@@ -348,15 +348,16 @@ class TestVerifySuite:
         assert all(ok for ok, _ in results.values()), results
 
     def test_eigenvector_lines_run_at_the_largest_order_pairs_allow(self, monkeypatch):
-        """pencil_eigenpairs holds 33 bytes per entry: with room for order 10 it refuses 11,
-        and verify checks the eigenvectors at order 10 while the inertia line keeps N."""
-        monkeypatch.setattr(operators, "_DENSE_BUDGET", 33 * 10**2)
-        assert operators._dense_max_order(eigensolve._TWIST_BYTES) == 10
+        """pencil_eigenpairs holds 25 bytes per entry, as green does: with room for order 10
+        it refuses 11, and verify checks the eigenvectors and compares fem with green, on the
+        eigenvector solve's own eigenvalues, at order 10 while the inertia line keeps N."""
+        monkeypatch.setattr(operators, "_DENSE_BUDGET", 25 * 10**2)
+        assert operators._dense_max_order(eigensolve._DENSE_BYTES) == 10
         w = ss.weight_truncation(P, 11)
         with pytest.raises(ss.OutOfRange, match="eigenvector order 11 exceeds 10"):
             ss.pencil_eigenpairs(ss.PencilProblem(ss.stiffness_matrix(w), w.masses, 11))
         results = {name: (ok, detail) for name, ok, detail in ss.verify_suite(P, N=20)}
-        for name in ("quadratic form identity", "boundary functional"):
+        for name in ("quadratic form identity", "boundary functional", "fem vs green spectra"):
             ok, detail = results[name]
             assert ok and detail.endswith("at order 10"), detail
         assert results["inertia count"] == (True, "0 negative of 20, weight has 0")
