@@ -23,9 +23,9 @@ here therefore works with relative thresholds:
   2004). The counts stay the only judge, and no stop has an absolute
   term, so eigenvalues near 2.2e-308 keep their digits;
 * twisted LDL^T factorizations, O(N) each, one helper for those steps
-  and for the pencil eigenvectors: one pass runs the forward and the
-  backward factorization side by side and keeps every step in one
-  buffer, which the Rayleigh steps turn into their sums in place;
+  and for the pencil eigenvectors: one pass runs both factorizations side
+  by side into one buffer, which the Rayleigh steps turn into their sums
+  in place, and the eigenvectors into their components;
 * the Green-kernel route, which shares no code with the core: the
   weighted Green matrix W G W = L L^T by LAPACK's Cholesky, then
   L^T sign(M) L by Jacobi, whose eigenvalues are the reciprocals. Each
@@ -316,16 +316,6 @@ def _gershgorin(diag, off, mass) -> tuple[float, float]:
     return glo - pad, ghi + pad
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """np.unique(x) for a 1-D x without NaN: the sort and adjacent-difference mask that
-    np.unique runs itself, bit for bit, without its first call, which imports numpy.ma."""
-    x = np.sort(x)
-    keep = np.empty(len(x), dtype=bool)
-    keep[:1] = True
-    keep[1:] = x[1:] != x[:-1]
-    return x[keep]
-
-
 def _probe_grid(glo: float, ghi: float) -> np.ndarray:
     """Binary grid over the Gershgorin interval, refined toward zero.
 
@@ -336,7 +326,8 @@ def _probe_grid(glo: float, ghi: float) -> np.ndarray:
     at zero below that, and the multisection steps needed do not depend on
     the eigenvalue's magnitude. Halving is exact above it; the halvings a
     side needs come from log2 of its ends, since their ratio can overflow.
-    """
+    Each side stays strictly inside the other end: the grid ascends strictly
+    unless both ends clip to one range guard."""
     probes = [np.array([glo, ghi, 0.0] if glo < 0.0 < ghi else [glo, ghi])]
     tiny = np.finfo(float).tiny
     for t, bound in ((ghi, max(glo, tiny / 2)), (glo, min(ghi, -tiny / 2))):
@@ -344,7 +335,7 @@ def _probe_grid(glo: float, ghi: float) -> np.ndarray:
             k = max(0, int(math.log2(abs(t)) - math.log2(abs(bound))) + 2)
             side = np.ldexp(t, -np.arange(1, k + 1))
             probes.append(side[np.abs(side) > abs(bound)])
-    return _distinct(np.concatenate(probes))
+    return np.sort(np.concatenate(probes))
 
 
 def _grid_counts(diag, off, mass, grid: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -354,7 +345,9 @@ def _grid_counts(diag, off, mass, grid: np.ndarray) -> tuple[np.ndarray, int, in
     monotone, so a cell whose ends agree holds their count; the second probes the interior
     of the other cells, if they have any. Returns (counts, count at 0.0, counts taken).
     """
-    coarse = _distinct(np.r_[: len(grid) : _COARSE, len(grid) - 1, np.flatnonzero(grid == 0.0)])
+    at = grid == 0.0
+    at[::_COARSE] = at[-1] = True
+    coarse = np.flatnonzero(at)
     first = _counts_below(diag, off, mass, np.append(grid[coarse], 0.0))
     counts = np.repeat(first[:-1], np.diff(coarse, append=len(grid)))  # a cell's left end's
     changed = np.repeat(np.diff(first[:-1]) != 0, np.diff(coarse))  # per point but the last
@@ -479,8 +472,11 @@ def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
     _MU_GUARD in magnitude is counted in dropped; residual_bound is the
     relative off-diagonal Jacobi leaves. LAPACK's Cholesky passes a NaN
     pivot through rather than reject it; Jacobi then raises NonConvergence.
+    Masses all below 1/2 are scaled by 2^-e (e < 0 even; exact through the
+    square roots) and mu by 2^e, lest H underflow and the Cholesky refuse it.
     """
-    W = np.sqrt(np.abs(masses))
+    e = min(0, 2 * (math.frexp(float(np.max(np.abs(masses))))[1] // 2))
+    W = np.sqrt(np.ldexp(np.abs(masses), -e))
     H = G  # H, then S L, then L^T S L share G's buffer
     H *= W[:, None]
     H *= W
@@ -494,6 +490,7 @@ def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
     H *= 0.5
     del T
     mu, rel, sweeps = _jacobi(H)
+    mu = np.ldexp(mu, e)
     keep = np.abs(mu) >= _MU_GUARD
     if not keep.any():
         raise ZeroEigenvalue("all reciprocal eigenvalues below the underflow guard")
@@ -652,32 +649,30 @@ def tridiag_eigs(T: TridiagonalSymmetric) -> EigenvalueList:
 def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
     """Unit null vectors of K - lambda*M, one column per eigenvalue, O(N) each.
 
-    The twisted factorization of _twist at each lambda gives the twist index
-    r; with x_r = 1 the two bidiagonal factors carry the solution outward.
-    The sign makes x_r positive. Where a step multiplies a zero component by
-    an overflowed ratio (a near-zero pivot), the pencil row through that zero
-    gives the next one instead, x_(i+1) = -(e_(i-1)/e_i) x_(i-1), as in
-    LAPACK's dlar1v. A vector that still overflows raises NonConvergence.
+    _twist gives the twist index r; with x_r = 1 (the sign) the two bidiagonal
+    factors carry the solution outward, in one pass over _twist's frames (the
+    backward one's row j is row n-1-j): from the last row down, x_j is 0 past the
+    twist row, 1 at it and -(e_j/piv_j) x_(j+1) before it, over the pivot used.
+    Where a step multiplies a zero component by an overflowed ratio (a near-zero
+    pivot), the pencil row through that zero gives the next one instead, x_j =
+    -(e_(j+1)/e_j) x_(j+2), as in LAPACK's dlar1v. X is the forward frame plus
+    the reversed backward one. A vector that still overflows raises NonConvergence.
     """
-    d, e, m = p.K.diag, p.K.offdiag, p.M
-    n, k = p.order, len(lam)
-    r, _, buf = _twist(d, e, m, lam)
-    fwd, bwd = buf[1:, 0], buf[:0:-1, 1]
-    X = np.zeros((n, k))
-    X[r, np.arange(k)] = 1.0
+    e, n, cols = p.K.offdiag, p.order, np.arange(len(lam))
+    r, _, buf = _twist(p.K.diag, e, p.M, lam)
+    x, t = buf[1:], np.stack((r, n - 1 - r))  # the twist row in each frame
+    ne_2 = -np.stack((e, e[::-1]), axis=1)[..., None]  # -e, row j to row j + 1, in each frame
+    x[n - 1] = t == n - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 2, -1, -1):
-            c = i < r
-            X[i, c] = -(e[i] / fwd[i, c]) * X[i + 1, c]
-            z = np.isnan(X[i])  # an overflowed ratio times a zero; x_r = 1, so i + 2 <= r
-            if z.any():
-                X[i, z] = -(e[i + 1] / e[i]) * X[i + 2, z]
-        for i in range(1, n):
-            c = i > r
-            X[i, c] = -(e[i - 1] / bwd[i, c]) * X[i - 1, c]
-            z = np.isnan(X[i])
-            if z.any():
-                X[i, z] = -(e[i - 2] / e[i - 1]) * X[i - 2, z]
+        for j in range(n - 2, -1, -1):
+            row = np.divide(ne_2[j], x[j], out=x[j])
+            row *= x[j + 1]
+            np.copyto(row, t == j, where=t <= j)
+            z = np.isnan(row)  # an overflowed ratio times a zero x_(j+1), so j + 2 <= t
+            if z.any() and j + 2 < n:  # a NaN pivot at n - 2 stays NaN, for the norms
+                row[z] = (-(ne_2[j + 1] / ne_2[j]) * x[j + 2])[z]
+        X = x[:, 0] + x[::-1, 1]
+        X[r, cols] = 1.0
         norms = np.sqrt(np.einsum("ij,ij->j", X, X))  # no n x k square
     if not np.isfinite(norms).all():
         raise NonConvergence("twisted eigenvector overflowed")

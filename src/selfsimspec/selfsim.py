@@ -46,7 +46,7 @@ class SelfSimilarParams:
 
     max_order is the largest truncation order N for which a^N stays above
     the underflow floor, |q|^N below the overflow ceiling and the last mass
-    is not 0; section builders and solvers refuse larger N.
+    is finite and not 0; section builders and solvers refuse larger N.
     """
 
     a: float
@@ -121,20 +121,24 @@ def make_params(a: float, d: float, beta1: float, beta2: float) -> SelfSimilarPa
     r = (1.0 - a) * jump
     if not math.isfinite(r):  # the jump overflowed
         raise OutOfRange(f"d*beta1 + beta2 - beta1 overflows: {jump!r}")
-    # |q| > 1 is implied: a*|d| = sqrt(a * a*d**2) < sqrt(a) < 1.
+    # |q| > 1 is implied: a*|d| = sqrt(a * a*d**2) < sqrt(a) < 1. So is |d| < |q|, since
+    # a*d**2 < 1: d^N needs no bound of its own, only a large jump takes the masses out first.
     n_gap = math.floor(math.log(_GAP_FLOOR) / math.log(a))
     n_entry = math.floor(math.log(_ENTRY_CEIL) / math.log(abs(q)))
-    max_order = min(n_gap, n_entry)
-    if abs(d) > 1.0:
-        max_order = min(max_order, math.floor(math.log(_ENTRY_CEIL) / math.log(abs(d))))
-    params = SelfSimilarParams(a, d, beta1, beta2, q, r, max_order)
-    if abs(d) < 1.0 and _masses(params, np.array([max_order - 1.0]))[0] == 0.0:
-        # the masses shrink to 0 first: the last order whose last mass, by _masses' own
-        # expression, is not 0; the mass at order lo is not 0, at order hi it is
-        lo, hi = 1, max_order
+    params = SelfSimilarParams(a, d, beta1, beta2, q, r, min(n_gap, n_entry))
+
+    def last_mass_ok(N):  # m_N by _masses' own expression: finite and not 0 (true at N = 1)
+        with np.errstate(over="ignore"):
+            m = _masses(params, np.array([N - 1.0]))[0]
+        return math.isfinite(m) and m != 0.0
+
+    if params.max_order > 1 and not last_mass_ok(params.max_order):
+        # the masses leave double range first (they shrink to 0, or a large jump overflows
+        # them, |m_N| being monotone in N): the last order whose last mass holds, lo holds, hi not
+        lo, hi = 1, params.max_order
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if _masses(params, np.array([mid - 1.0]))[0] != 0.0 else (lo, mid)
+            lo, hi = (mid, hi) if last_mass_ok(mid) else (lo, mid)
         params = SelfSimilarParams(a, d, beta1, beta2, q, r, lo)
     return params
 

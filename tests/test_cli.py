@@ -145,15 +145,35 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["weight", "spectrum", "verify"])
     def test_overflowing_masses_are_three(self, command):
-        """m_5 = 5e307 * 1.5^4 leaves double range. The order is refused from
-        the extreme masses before the arrays exist, so no RuntimeWarning (an
-        error under the pytest configuration) comes before the exit 3."""
+        """m_5 = 5e307 * 1.5^4 leaves double range, so max_order is 4. The order is refused
+        before the arrays exist, so no RuntimeWarning (an error under the pytest
+        configuration) comes before the exit 3: by the weight's own mass check, by the range
+        guard, and in verify, which runs at max_order, by the plateau values v_k = 1e308 +
+        the masses up to k."""
         code, out, err = run_cli(
             command, "--a", "0.2", "--d", "1.5", "--beta1", "1e308", "--beta2", "0", "--n", "5"
         )
         assert code == 3
         assert out == ""
-        assert err.startswith("RangeOverflow: masses overflow")
+        assert err.startswith({
+            "weight": "RangeOverflow: masses overflow",
+            "spectrum": "RangeOverflow: order 5 beyond the range guard 4",
+            "verify": "RangeOverflow: plateau values overflow at depth 4",
+        }[command])
+
+    @pytest.mark.parametrize("argv", [
+        ("--a", "0.5", "--d", "1.2", "--beta1", "0", "--beta2", "1e300", "--n", "996"),
+        ("--a", "0.2", "--d", "-1.5", "--beta1", "0.3", "--beta2", "1e305", "--n", "100"),
+        ("--beta2", "1e-200", "--n", "481"),
+    ])
+    def test_verify_at_the_range_guard(self, argv):
+        """max_order once counted only masses underflowing to 0: at (0.5, 1.2, 0, 1e300) it
+        read 996, but the masses overflow from order 106, and at (0.2, -1.5, 0.3, 1e305) from
+        20, so verify exited 3 on them. At beta2 = 1e-200 W G W underflowed and the Cholesky
+        of the green line refused it at order 411 until solve_green scaled the masses."""
+        code, out, err = run_cli("verify", *argv)
+        assert code == 0, out + err
+        assert len(out.strip().split("\n")) == 6 and "FAIL" not in out
 
     @pytest.mark.parametrize(
         "argv",

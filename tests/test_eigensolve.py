@@ -187,34 +187,36 @@ class TestGridCounts:
         assert 0.0 in grid and len(grid) > 10 * eigensolve._COARSE
 
 
-class TestDistinct:
-    """_distinct stands in for np.unique (which imports numpy.ma) in the probe grid
-    and the coarse grid indices; it must return np.unique's array bit for bit."""
+class TestProbeGrid:
+    """Each side of _probe_grid halves strictly inside the other end, so the grid
+    ascends strictly and needs no de-duplication (np.unique would import numpy.ma)."""
 
-    EDGES = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0)
+    GUARD = 1.0 / eigensolve._MU_GUARD
+    ENDS = tuple(s * x for s in (1.0, -1.0) for x in (
+        0.0, 5e-324, 2.2250738585072014e-308, 1.1125369292536007e-308, 1e-300, 1.0, 1e290))
 
-    @staticmethod
-    def _same(x):
-        got, want = eigensolve._distinct(x), np.unique(x)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    @given(st.lists(st.one_of(st.sampled_from(ENDS), st.floats(-GUARD, GUARD)),
+                    min_size=2, max_size=2, unique=True))
+    @example([-1e290, 1e290])
+    @example([0.0, 5e-324])
+    @example([-2.2250738585072014e-308, 1.1125369292536007e-308])
+    @settings(max_examples=300)
+    def test_strictly_increasing(self, ends):
+        """Either sign, subnormal ends, ends at the range guard and 0.0."""
+        glo, ghi = sorted(ends)
+        grid = eigensolve._probe_grid(glo, ghi)
+        assert grid[0] == glo and grid[-1] == ghi
+        assert np.all(np.diff(grid) > 0.0)
 
-    @given(st.lists(st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False)), max_size=300))
-    @example([])
-    @example([0.0, -0.0, 0.0, -0.0])
-    @example([-0.0, 1.0, 0.0, 1.0, -math.inf, math.inf, -math.inf])
-    @settings(max_examples=200)
-    def test_floats(self, xs):
-        """Repeats, both zeros, both infinities and subnormals."""
-        self._same(np.array(xs, dtype=float))
-
-    @given(st.integers(1, 5000), st.lists(st.integers(0, 4999), max_size=4))
-    @example(1, [0])
-    @example(33, [32, 32])
-    def test_grid_indices(self, n, zeros):
-        """The index array _grid_counts builds: every _COARSE-th point, the last one and
-        the points at 0.0, which can repeat the others."""
-        at_zero = np.array([z % n for z in zeros], dtype=np.intp)
-        self._same(np.r_[: n : eigensolve._COARSE, n - 1, at_zero])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ends_clipped_to_one_guard(self, sign):
+        """The one repeat: both Gershgorin ends clip to the same range guard. Every
+        count there agrees, and solve_pencil finds no eigenvalue inside the guard."""
+        g = sign * self.GUARD
+        np.testing.assert_array_equal(eigensolve._probe_grid(g, g), [g, g])
+        K = _tridiag([sign * 1e300, sign * 2e300], [0.0])
+        with pytest.raises(ss.ZeroEigenvalue):
+            ss.solve_pencil(ss.PencilProblem(K, np.ones(2), 2))
 
 
 class TestTridiagEigs:
@@ -353,6 +355,43 @@ class TestSolvePencil:
         res = np.linalg.norm(KY - lam * (M[:, None] * Y), axis=0)
         assert np.all(res <= 1e-12 * np.linalg.norm(KY, axis=0))
         np.testing.assert_allclose(Y[:, -1], [math.sqrt(0.5), 0.0, -math.sqrt(0.5)], atol=1e-15)
+
+    def test_tiny_mass_in_the_forward_half(self):
+        """The same zero times an overflowed ratio with the twist at the last row, r = 2:
+        the forward step from x_1 = 0 meets it at row 0, and the pencil row gives
+        (-1, 0, 1)/sqrt(2)."""
+        K = _tridiag([1e10, 1e10, 2e10], [1e9, 1e9])
+        M = np.array([1.0, 1e-300, 2.0])
+        assert eigensolve._twist(K.diag, K.offdiag, M, np.array([1e10]))[0][0] == 2
+        lam, Y, info = ss.pencil_eigenpairs(ss.PencilProblem(K, M, 3))
+        assert info.dropped == 1 and lam[-1] == 1e10
+        np.testing.assert_allclose(Y[:, -1], [-math.sqrt(0.5), 0.0, math.sqrt(0.5)], atol=1e-15)
+        KY = K.dense() @ Y
+        res = np.linalg.norm(KY - lam * (M[:, None] * Y), axis=0)
+        assert np.all(res <= 1e-12 * np.linalg.norm(KY, axis=0))
+
+    def test_nan_pivot_next_to_the_end_is_refused(self):
+        """x*m overflows at these shifts and the backward pivots of rows 0 and 1 are NaN,
+        so gamma_0 is NaN and r = 0. The pencil-row step at row 1 would need x_(-1): the
+        backward pass read the last row instead and returned (1, 0, 0), which is no
+        eigenvector; the NaN now reaches the norms."""
+        K = _tridiag([-1e-300, -1e200, 1e10], [-1.0, 1e300])
+        with pytest.raises(ss.NonConvergence, match="overflowed"):
+            ss.pencil_eigenpairs(ss.PencilProblem(K, np.array([1e200, 1e200, 1e10]), 3))
+
+    @given(contraction_params(), st.integers(1, 120))
+    @settings(deadline=None, max_examples=40)
+    def test_eigenpairs_satisfy_the_pencil_over_the_domain(self, p, N):
+        """Every column of pencil_eigenpairs, anywhere in the contraction domain. The
+        columns are scaled by their largest |K y|, whose square can overflow."""
+        N = min(N, p.max_order)
+        w = ss.weight_truncation(p, N)
+        K = ss.stiffness_matrix(w)
+        lam, Y, _ = ss.pencil_eigenpairs(ss.PencilProblem(K, w.masses, N))
+        KY = K.dense() @ Y
+        scale = np.max(np.abs(KY), axis=0)
+        res = np.linalg.norm((KY - lam * (w.masses[:, None] * Y)) / scale, axis=0)
+        assert np.all(res <= 1e-12 * np.linalg.norm(KY / scale, axis=0))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_probe_grid_is_counted_once(self, sign, monkeypatch):

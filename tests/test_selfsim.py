@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,31 @@ class TestMakeParams:
         for formulation in ss.FORMULATIONS:
             with pytest.raises(ss.RangeOverflow, match="beyond the range guard"):
                 ss.compute_spectrum(p, p.max_order + 1, formulation)
+
+    @given(st.floats(0.05, 0.3), st.floats(0.02, 0.95), st.sampled_from((-1.0, 1.0)),
+           st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 308.0))
+    @example(0.5, 0.72, 1.0, 1.0, 300.0)  # (0.5, 1.2, 0, 1e300): max_order 105, not 996
+    @example(0.3, 0.867, 1.0, 1.0, 250.0)  # (0.3, 1.7, 0, 1e250): 253, not 573
+    @example(0.2, 0.45, -1.0, 1.0, 305.0)  # (0.2, -1.5, 0, 1e305): masses leave range first
+    @settings(deadline=None, max_examples=30)
+    def test_max_order_keeps_the_last_mass_in_range(self, a, s, sign_d, sign_b, exponent):
+        """beta2 from +-1e308 down to 1e-300, either sign of d: with a large jump and
+        |d| > 1 the masses overflow long before the gap and entry guards bind, as they
+        underflow with |d| < 1. max_order is the last order whose last mass is finite and not
+        0, fem solves there (or finds every eigenvalue beyond its guard), and the next order
+        is refused at the range guard. a <= 0.3 keeps max_order under 573."""
+        d = sign_d * math.sqrt(s / a)
+        beta2 = sign_b * 10.0**exponent
+        p = ss.make_params(a, d, 0.0, beta2)
+        m = ss.weight_truncation(p, p.max_order).masses[-1]
+        assert math.isfinite(m) and m != 0.0
+        try:
+            spec = ss.compute_spectrum(p, p.max_order)
+            assert len(spec.values) + spec.dropped == p.max_order
+        except ss.ZeroEigenvalue:
+            pass
+        with pytest.raises(ss.RangeOverflow, match="beyond the range guard"):
+            ss.compute_spectrum(p, p.max_order + 1)
 
 
 class TestWeightTruncation:

@@ -156,6 +156,18 @@ class TestInertiaCore:
         unit = ss.compute_spectrum(P, N).values
         np.testing.assert_allclose(big, unit / beta2, rtol=1e-14)
 
+    @pytest.mark.parametrize("beta2,N", [(1e-100, 481), (1e-200, 411), (1e-250, 245)])
+    def test_green_matches_pencil_at_tiny_masses(self, beta2, N):
+        """W G W underflowed at tiny masses and LAPACK's Cholesky refused it at orders fem
+        solves (from N ~ 370 at 1e-100, 206 at 1e-200, ~120 at 1e-250); solve_green scales
+        the masses by an even power of two, and mu back, exactly. N is max_order here."""
+        p = ss.make_params(0.5, 0.5, 0.0, beta2)
+        assert p.max_order == N
+        fem = ss.compute_spectrum(p, N, "fem-pencil")
+        green = ss.compute_spectrum(p, N, "green-kernel")
+        assert green.dropped == fem.dropped > 0
+        assert np.max(np.abs(green.values - fem.values) / np.abs(fem.values)) <= 1e-13
+
     def test_section_reaches_max_order(self):
         """Sturm counts no longer square the off-diagonal, so the section
         runs at every order the range guard admits."""
