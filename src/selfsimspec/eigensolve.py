@@ -21,7 +21,10 @@ here therefore works with relative thresholds:
   on the twist element gamma_r of the twisted factorization take to
   roundoff in a few sweeps (Dhillon & Parlett, Linear Algebra Appl. 387,
   2004). The counts stay the only judge, and no stop has an absolute
-  term, so eigenvalues near 2.2e-308 keep their digits;
+  term, so eigenvalues near 2.2e-308 keep their digits. Given a guess
+  (order continuation's candidates, see spectral), one count at each
+  candidate and its two adjacent doubles closes every bracket it
+  certifies, and only the rest take the probe grid and the steps above;
 * twisted LDL^T factorizations, O(N) each, one helper for those steps
   and for the pencil eigenvectors: one pass runs both factorizations side
   by side into one buffer, which the Rayleigh steps turn into their sums
@@ -131,7 +134,10 @@ class EigenvalueList:
     i < j, left. dropped counts eigenvalues beyond 1/_MU_GUARD (for Green,
     reciprocals below _MU_GUARD), which are excluded rather than reported.
     passes is the work done: inertia-count passes for bisection, the probe
-    grid's counts included, and sweeps for Jacobi.
+    grid's counts included, and sweeps for Jacobi. levels is the number of
+    orders solved for this one: 1, or more where order continuation (see
+    spectral) solved lower orders first, and passes then sums the counts of
+    every level.
     """
 
     values: np.ndarray
@@ -139,6 +145,7 @@ class EigenvalueList:
     method: str
     dropped: int = 0
     passes: int = 0
+    levels: int = 1
 
 
 def _pivots(diag, off, mass, xs, prev=None):
@@ -166,27 +173,39 @@ def _pivot_blocks(diag, off, mass, xs):
 
     d - x*m for a block is one outer product, then three in-place operations
     per row with no clamp. A block holding a pivot below _PIVMIN or a NaN is
-    redone by _pivots, so every pivot is the clamped recurrence's. Several
-    factorizations can run side by side: diag and mass of shape (n, c) and
-    off of shape (n - 1, c, 1) give pivots of shape (c, len(xs)) per row
-    (_twist runs the forward and the backward one so, and copies every
-    block into its buffer). The caller sets np.errstate and must not write
-    to the yielded pivots.
+    redone by _pivots, so every pivot is the clamped recurrence's. The last
+    row is left out of that check, since no row divides by its pivot, and is
+    clamped in place: a probe at an eigenvalue of the rounded recurrence, as
+    order continuation's candidates are, makes that pivot exactly zero, and
+    the check would send its whole block to _pivots. Several factorizations
+    can run side by side: diag and mass of shape (n, c) and off of shape
+    (n - 1, c, 1) give pivots of shape (c, len(xs)) per row (_twist runs the
+    forward and the backward one so, and copies every block into its
+    buffer). The blocks alternate between two buffers allocated once, so a
+    count allocates no array per block, and a yielded block is overwritten
+    two blocks on. The caller sets np.errstate and must not write to the
+    yielded pivots.
     """
     diag, mass = diag[..., None], mass[..., None]
     off = np.concatenate((np.zeros((1,) + off.shape[1:]), off))  # row i to row i - 1
     piv, tmp = np.inf, np.empty(diag.shape[1:-1] + xs.shape)
+    bufs = np.empty((2, min(_BLOCK, len(diag))) + tmp.shape)  # a block's, and the one before
     for b in range(0, len(diag), _BLOCK):
-        sl, prev = slice(b, b + _BLOCK), piv
-        rows = diag[sl] - mass[sl] * xs
+        sl, prev, last = slice(b, b + _BLOCK), piv, b + _BLOCK >= len(diag)
+        rows = bufs[(b // _BLOCK) % 2, : len(diag[sl])]
+        np.subtract(diag[sl], np.multiply(mass[sl], xs, out=rows), out=rows)
         for e, row in zip(off[sl], rows):
             np.divide(e, piv, out=tmp)
             tmp *= e
             row -= tmp
             piv = row
-        if not (np.abs(rows) >= _PIVMIN).all():  # a tiny pivot or a NaN
+        if not (np.abs(rows[:-1] if last else rows) >= _PIVMIN).all():  # a tiny pivot or a NaN
             rows = np.array(list(_pivots(diag[sl], off[sl], mass[sl], xs, prev)))
             piv = rows[-1]
+        elif last:
+            small = np.abs(piv) < _PIVMIN
+            if small.any():
+                piv[...] = np.where(small, np.where(piv < 0.0, -_PIVMIN, _PIVMIN), piv)
         yield sl, rows
 
 
@@ -562,15 +581,56 @@ def _cut(lo, pts, hi, up, m):
     return np.take_along_axis(np.hstack((lo, pts, hi)), np.hstack((c, c + 1)), axis=1).T
 
 
-def solve_pencil(p: PencilProblem) -> EigenvalueList:
+def _guess_probes(guess, glo: float, ghi: float) -> np.ndarray:
+    """glo, ghi and each candidate of the guess strictly between them with its two adjacent
+    doubles, ascending and distinct. A NaN candidate raises OutOfRange; one outside (glo, ghi),
+    beyond the range guard or infinite, is left out."""
+    c = np.asarray(guess, dtype=float).ravel()
+    if np.isnan(c).any():
+        raise OutOfRange("guess holds a NaN")
+    c = c[(c > glo) & (c < ghi)]
+    probes = np.sort(np.concatenate(([glo, ghi], np.nextafter(c, -np.inf), c,
+                                     np.nextafter(c, np.inf))))
+    return probes[np.diff(probes, prepend=-np.inf) != 0.0]
+
+
+def _brackets(probes, counts, idxs) -> tuple[np.ndarray, np.ndarray]:
+    """Each index's bracket of the ascending probes: the probe before and the first probe whose
+    count, made monotone by a running maximum, reaches the index."""
+    j = np.clip(np.searchsorted(np.maximum.accumulate(counts), idxs), 1, len(probes) - 1)
+    return probes[j - 1], probes[j]
+
+
+def solve_pencil(p: PencilProblem, guess=None) -> EigenvalueList:
     """Eigenvalues of K y = lambda M y, ascending, by the inertia core.
 
     The brackets come from Gershgorin on sign(M) |M|^(-1/2) K |M|^(-1/2),
     cut to |lambda| <= 1/_MU_GUARD; eigenvalues beyond that are counted in
-    dropped. The counts over the _probe_grid (_grid_counts: a coarse count,
-    then one of the cells whose count changes) give the kept index range, the
+    dropped. A pencil where |K_ii| + X*|m_i| overflows for some row coupled
+    to a neighbour, X the larger end of that cut interval, is refused
+    (OutOfRange): every pivot starts from K_ii - x*m_i, and where that
+    overflows near an eigenvalue the pivots lose what the neighbour needs (an
+    overflowed pivot turns the next e^2/piv into 0). A row with no coupling
+    is its own eigenvalue K_ii/m_i, and an overflowed x*m_i there keeps the
+    sign its count reads, so it is solved. Pencils built from a weight or a
+    section below the range guard keep X*|m_i| near q^N or a^-N, within 1e301.
+
+    The counts over the _probe_grid (_grid_counts: a coarse count, then one
+    of the cells whose count changes) give the kept index range, the
     brackets and, when a mass is negative (only then does the count need K
     positive definite), K's inertia from the first count's probe at 0.
+
+    guess, eigenvalue candidates in any order (order continuation supplies
+    them, see spectral), replaces the grid by one count: at each candidate
+    inside the Gershgorin interval and its two adjacent doubles, at the
+    interval's ends (the kept range) and at 0 (the inertia). An index whose
+    bracket from these probes is two adjacent doubles is closed at once. If
+    any is left open, the grid's counts are taken too, and every bracket is
+    taken again from both sets of probes, so each open one lies within a grid
+    cell; only those go on to the loop below. The counts judge the guess as
+    they judge every probe, so a wrong candidate costs counts, not accuracy,
+    and where the count is monotone the result is the solve without a guess,
+    bit for bit. passes counts the guess's count too.
 
     Each count then probes every open bracket, in groups, and _cut takes one
     rule on all: the sub-bracket at the change of count nearest column m of
@@ -588,19 +648,38 @@ def solve_pencil(p: PencilProblem) -> EigenvalueList:
     """
     K, M = p.K, p.M
     glo, ghi = np.clip(_gershgorin(K.diag, K.offdiag, M), -1.0 / _MU_GUARD, 1.0 / _MU_GUARD)
-    probes = _probe_grid(glo, ghi)
+    with np.errstate(over="ignore"):
+        reach = np.abs(K.diag) + max(-glo, ghi) * np.abs(M)
+    coupled = np.append(K.offdiag != 0.0, False) | np.append(False, K.offdiag != 0.0)
+    if not np.isfinite(reach[coupled]).all():
+        raise OutOfRange("pencil out of double range: K_ii - x*m_i overflows within the "
+                         "Gershgorin bounds")
+    if guess is None:
+        probes = _probe_grid(glo, ghi)
+        counts, at_zero, passes = _grid_counts(K.diag, K.offdiag, M, probes)
+    else:
+        probes = _guess_probes(guess, glo, ghi)
+        counts = _counts_below(K.diag, K.offdiag, M, np.append(probes, 0.0))
+        counts, at_zero, passes = counts[:-1], int(counts[-1]), 1
     n_neg = int(np.sum(M < 0.0))
-    counts, at_zero, passes = _grid_counts(K.diag, K.offdiag, M, probes)
     if n_neg and at_zero != n_neg:
         raise NotPositiveDefinite("stiffness matrix has a negative eigenvalue")
     k1, k2 = int(counts[0]), int(counts[-1])
     if k2 <= k1:
         raise ZeroEigenvalue("every eigenvalue lies beyond the range guard")
     idxs = np.arange(k1 + 1, k2 + 1)
-    j = np.clip(np.searchsorted(np.maximum.accumulate(counts), idxs), 1, len(probes) - 1)
-    los, his = probes[j - 1], probes[j]
+    los, his = _brackets(probes, counts, idxs)
+    if guess is not None and (np.nextafter(los, his) != his).any():
+        grid = _probe_grid(glo, ghi)
+        grid_counts, _, taken = _grid_counts(K.diag, K.offdiag, M, grid)
+        order = np.argsort(np.concatenate((probes, grid)), kind="stable")
+        probes = np.concatenate((probes, grid))[order]
+        keep = np.diff(probes, prepend=-np.inf) != 0.0  # a probe of the guess's before the grid's
+        los, his = _brackets(probes[keep], np.concatenate((counts, grid_counts))[order][keep],
+                             idxs)
+        passes += taken
 
-    active = np.ones(len(idxs), dtype=bool)
+    active = np.nextafter(los, his) != his
     fresh = np.ones(len(idxs), dtype=bool)  # no correction has served the bracket
     for _ in range(_BISECT_CAP):
         act = np.flatnonzero(active)

@@ -14,8 +14,11 @@ Three formulations of the same eigenvalue problem:
   other two.
 
 The solvers all live in eigensolve and return an EigenvalueList; this
-module builds their inputs. compute_spectrum produces the spectra and
-refuses N beyond the range guard with RangeOverflow on every formulation
+module builds their inputs. Where a and |d| are powers of two, the fem and
+section pencils are exactly self-similar across orders, and
+_pencil_spectrum solves order N from a lower order's spectrum (order
+continuation), one certifying count per order. compute_spectrum produces
+the spectra and refuses N beyond the range guard with RangeOverflow on every formulation
 (and green-kernel N beyond its memory budget with OutOfRange),
 cross_validate compares them pairwise, estimate_c and indefinite_report
 check the geometric laws lambda_k ~ c*q^k (single sign) and
@@ -27,13 +30,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EmptyWindow, OutOfRange, WrongSign
 from .eigensolve import (
     _DENSE_BYTES,
+    EigenvalueList,
     PencilProblem,
     pencil_eigenpairs,
     solve_green,
@@ -65,13 +69,22 @@ FORMULATIONS = ("jacobi-section", "fem-pencil", "green-kernel")
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Selected eigenvalues of one formulation, ascending by value."""
+    """Selected eigenvalues of one formulation, ascending by value.
+
+    info is the solver's record of the whole spectrum (its method,
+    residual_bound, dropped, passes and levels), before count selects;
+    dropped reads it (0 without one).
+    """
 
     params: SelfSimilarParams
     order: int
     formulation: str
     values: np.ndarray
-    dropped: int = 0
+    info: EigenvalueList | None = None
+
+    @property
+    def dropped(self) -> int:
+        return self.info.dropped if self.info is not None else 0
 
 
 @dataclass(frozen=True)
@@ -145,6 +158,60 @@ def _section_pencil(params: SelfSimilarParams, N: int) -> PencilProblem:
     return PencilProblem(symmetrized_section(params, N), params.r * signature, N)
 
 
+def _exact_depths(params: SelfSimilarParams, formulation: str) -> tuple[int, int] | None:
+    """(K0, T) of order continuation for the fem or section pencil, or None where a or |d|
+    is not a power of two.
+
+    Rows 2..N of the order-N pencil are the order-(N-1) pencil with K/a (the
+    section: |q| T) and masses times d. So, ordered by magnitude and
+    0-based, lambda_(k+1)(N) = q*lambda_k(N-1) for k >= K0, where the first
+    row no longer reaches, and lambda_k(N) = lambda_k(N-1) for
+    k < N - 1 - T, where the truncation no longer reaches. Where a and |d|
+    are powers of two the scalings are exact, and both hold bit for bit
+    (tests pin them at seven such points). K0 = ceil(sqrt(37 /
+    ln|q|)) + 2, from the super-geometric remainder |q|^(-k^2); T = ceil(36 /
+    ln(1/(a^2 |d|))) + 2 for fem, whose truncation error falls like
+    (a^2 |d|)^(N-k), and ceil(36 / ln(1/a)) + 2 for the section. The + 2 is
+    a margin: the laws under-read the measured depths by up to 1.1.
+    """
+    a, d = params.a, abs(params.d)
+    if math.frexp(a)[0] != 0.5 or math.frexp(d)[0] != 0.5:
+        return None
+    k0 = math.ceil(math.sqrt(37.0 / math.log(abs(params.q)))) + 2
+    rate = a if formulation == "jacobi-section" else a * a * d
+    return k0, math.ceil(36.0 / math.log(1.0 / rate)) + 2
+
+
+def _pencil_spectrum(params: SelfSimilarParams, N: int, formulation: str) -> EigenvalueList:
+    """solve_pencil on the order-N fem or section pencil, by order continuation where exact.
+
+    Where a and |d| are powers of two (_exact_depths) and M = ceil((N + K0 +
+    T) / 2) < N, order M is solved first, by this same rule, and its
+    spectrum, ordered by magnitude, gives order N's candidates, j = N - M:
+    lambda_i(M) for the K0 + j smallest magnitudes (0-based i < K0 + j <=
+    M - T, below the truncation's reach) and q^j * lambda_(i-j)(M) for the
+    rest (q^j carries sign(q)^j for d < 0). solve_pencil takes them as its
+    guess, and its counts certify them. passes sums every level's counts
+    and levels says how many ran. Other inputs, and N <= K0 + T + 1, are
+    solved directly.
+    """
+    if formulation == "jacobi-section":
+        pencil = _section_pencil(params, N)
+    else:
+        pencil = _fem_pencil(weight_truncation(params, N))
+    depths = _exact_depths(params, formulation)
+    M = N if depths is None else -(-(N + sum(depths)) // 2)
+    if M >= N:
+        return solve_pencil(pencil)
+    k0, j = depths[0], N - M
+    low = _pencil_spectrum(params, M, formulation)
+    mag = _by_magnitude(low.values)
+    with np.errstate(over="ignore"):  # an infinite candidate lies beyond the range guard
+        top = params.q**j * mag[k0:]
+    ev = solve_pencil(pencil, np.concatenate((mag[: k0 + j], top)))
+    return replace(ev, passes=low.passes + ev.passes, levels=low.levels + 1)
+
+
 def _max_rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Worst |a_i - b_i| / max(|a_i|, |b_i|) over the leading indices both have."""
     n = min(len(a), len(b))
@@ -186,20 +253,20 @@ def compute_spectrum(
     params.max_order raises RangeOverflow on every formulation. green-kernel
     holds several N x N arrays at once and refuses (OutOfRange), before
     allocating any, an order whose arrays would exceed its memory budget.
+    fem-pencil and jacobi-section are solved by _pencil_spectrum, by order
+    continuation where a and |d| are powers of two. The result keeps the
+    solver's EigenvalueList as info.
     """
     if formulation not in FORMULATIONS:
         raise OutOfRange(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
     _check_order(params, N)
-    if formulation == "jacobi-section":
-        ev = solve_pencil(_section_pencil(params, N))
-    else:
+    if formulation == "green-kernel":
         w = weight_truncation(params, N)
-        if formulation == "fem-pencil":
-            ev = solve_pencil(_fem_pencil(w))
-        else:
-            _check_dense("green-kernel", N, _DENSE_BYTES)
-            ev = solve_green(_green_unweighted(w), w.masses)
-    return SpectrumResult(params, N, formulation, _select(ev.values, count), ev.dropped)
+        _check_dense("green-kernel", N, _DENSE_BYTES)
+        ev = solve_green(_green_unweighted(w), w.masses)
+    else:
+        ev = _pencil_spectrum(params, N, formulation)
+    return SpectrumResult(params, N, formulation, _select(ev.values, count), ev)
 
 
 def cross_validate(params: SelfSimilarParams, N: int) -> CrossValidation:

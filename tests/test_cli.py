@@ -481,6 +481,9 @@ class TestImports:
         ("spectrum", "--formulation", "fem"),
         ("spectrum", "--formulation", "jacobi"),
         ("verify",),
+        ("spectrum", "--formulation", "fem", "--n", "100"),  # order continuation fires
+        ("spectrum", "--formulation", "jacobi", "--n", "100"),
+        ("verify", "--n", "60"),
     ], ids=" ".join)
     def test_solving_loads_no_masked_arrays(self, argv):
         code, mods = _imported("-m", "selfsimspec.cli", *argv)

@@ -106,6 +106,23 @@ class TestBlockedCount:
         self._check(diag, off, mass, xs, b - 1, [eigensolve._PIVMIN, 2.5, 0.5, 4.0])
         self._check(diag, off, mass, xs, b, [eigensolve._PIVMIN, 2.5, 0.5, 4.0])
 
+    @pytest.mark.parametrize("n", [5, 32, 33, 70])
+    @pytest.mark.parametrize("last", [3.0, -1e-305])
+    def test_last_pivot_clamped_in_place(self, n, last):
+        """A zero or tiny pivot in the last row (decoupled and equal to the probe 3, or
+        -1e-305 at the probe 0) is clamped without a redo of its block; the blocked
+        pivots are _pivots' bit for bit, as _twist reads them."""
+        rng = np.random.default_rng(n)
+        diag, off, mass = rng.uniform(5.0, 6.0, n), rng.uniform(-0.5, 0.5, n - 1), np.ones(n)
+        diag[-1], off[-1:] = last, 0.0
+        xs = np.array([3.0, 0.0])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            want = np.array(list(eigensolve._pivots(diag, off, mass, xs)))
+            got = np.concatenate([rows.copy() for _, rows in
+                                  eigensolve._pivot_blocks(diag, off, mass, xs)])
+        np.testing.assert_array_equal(got, want)
+        assert abs(want[-1]).min() == eigensolve._PIVMIN
+
     def test_subnormal_pivot(self):
         """Row 2's pivot 1e-310 clamps to 1e-300, so row 3 reads 3 - 1 > 0;
         unclamped it would read 3 - 1e10 and count one eigenvalue more."""
@@ -374,10 +391,49 @@ class TestSolvePencil:
         """x*m overflows at these shifts and the backward pivots of rows 0 and 1 are NaN,
         so gamma_0 is NaN and r = 0. The pencil-row step at row 1 would need x_(-1): the
         backward pass read the last row instead and returned (1, 0, 0), which is no
-        eigenvector; the NaN now reaches the norms."""
+        eigenvector; the NaN now reaches the norms. solve_pencil returned +-1.8e108 for this
+        pencil before it refused it (test_pencil_out_of_range_refused), so the vectors are
+        taken at those shifts directly."""
         K = _tridiag([-1e-300, -1e200, 1e10], [-1.0, 1e300])
+        pencil = ss.PencilProblem(K, np.array([1e200, 1e200, 1e10]), 3)
         with pytest.raises(ss.NonConvergence, match="overflowed"):
-            ss.pencil_eigenpairs(ss.PencilProblem(K, np.array([1e200, 1e200, 1e10]), 3))
+            eigensolve._twisted_vectors(pencil, np.array([-1.8e108, 1.8e108]))
+        with pytest.raises(ss.OutOfRange, match="double range"):
+            ss.pencil_eigenpairs(pencil)
+
+    def test_pencil_out_of_range_refused(self):
+        """K_22 - x*m_2 overflows at x ~ 1e195, where the outer eigenvalues lie (+-1e195 by
+        numpy's eigvalsh of M^-1/2 K M^-1/2): the overflowed pivot turned the next row's
+        e^2/piv, 1e205, into 0, and the solve returned +-1.8e108 with a residual_bound of
+        1.5e-16. With or without a guess it now refuses."""
+        K = _tridiag([-1e-300, -1e200, 1e10], [-1.0, 1e300])
+        pencil = ss.PencilProblem(K, np.array([1e200, 1e200, 1e10]), 3)
+        for guess in (None, [-1e195, 0.5, 1e195]):
+            with pytest.raises(ss.OutOfRange, match="double range"):
+                ss.solve_pencil(pencil, guess)
+
+    def test_uncoupled_row_beyond_range_solved(self):
+        """The range check reads only rows coupled to a neighbour: here x*m_1 overflows at
+        the guard, 1e290, but row 1 is its own eigenvalue, 1e-20, and row 0's 1e295 lies
+        beyond the guard."""
+        K = _tridiag([1e295, 1.0], [0.0])
+        for guess in (None, [1e-20]):
+            out = ss.solve_pencil(ss.PencilProblem(K, np.array([1.0, 1e20]), 2), guess)
+            assert out.values == pytest.approx([1e-20], rel=2 * np.finfo(float).eps)
+            assert out.dropped == 1
+
+    @pytest.mark.parametrize("form", ["fem", "section"])
+    @pytest.mark.parametrize("args,N,entry", [((0.2, -1.5, 0.3, 1.0), 429, 9e299),
+                                              ((0.5, 0.5, 0.0, 1e308), 481, 1e144),
+                                              ((0.125, 2.0, 0.5, 1.0), 332, 1e299)])
+    def test_pencils_at_max_order_stay_in_range(self, args, N, entry, form):
+        """The range check passes the package's pencils at max_order, where fem stiffness
+        reaches 9.0e299 at (0.2, -1.5, 0.3, 1) and the masses 1e308 at beta2 = 1e308."""
+        p = ss.make_params(*args)
+        pencil = _route_pencil(p, N, form)
+        out = ss.solve_pencil(pencil)
+        assert p.max_order == N and len(out.values) + out.dropped == N
+        assert form == "section" or np.max(pencil.K.diag) > entry
 
     @given(contraction_params(), st.integers(1, 120))
     @settings(deadline=None, max_examples=40)
@@ -459,6 +515,49 @@ class TestSolvePencil:
         coupled = _tridiag([1e10, 1e10], [1e9])
         with pytest.raises(ss.ZeroEigenvalue):
             ss.solve_pencil(ss.PencilProblem(coupled, [1e-309, 1e-309], 2))
+
+
+class TestGuess:
+    """solve_pencil(p, guess) counts once at each candidate and its adjacent doubles, at the
+    Gershgorin ends and at 0, closes every bracket those probes certify and gives the rest
+    the probe grid's brackets. Where the count is monotone the result is the solve without
+    a guess, bit for bit, whatever the candidates are."""
+
+    @pytest.mark.parametrize("form", ["fem", "section"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_exact_candidates_close_in_one_count(self, form, sign, monkeypatch):
+        pencil = _route_pencil(canonical(sign), 120, form)
+        want = ss.solve_pencil(pencil)
+        calls, counts_below = [], eigensolve._counts_below
+        monkeypatch.setattr(eigensolve, "_counts_below",
+                            lambda *a: calls.append(len(a[3])) or counts_below(*a))
+        got = ss.solve_pencil(pencil, want.values[::-1])  # in any order
+        np.testing.assert_array_equal(got.values, want.values)
+        assert (got.dropped, got.passes, got.levels) == (want.dropped, 1, 1)
+        assert calls == [3 * 120 + 3]
+
+    @pytest.mark.parametrize("guess", [
+        lambda v: v * (1.0 + 1e-9),  # every candidate misses: all brackets from the grid
+        lambda v: np.where(np.arange(len(v)) % 2, v, -v),  # half of them are right
+        lambda v: np.concatenate((v[:10], [np.inf, -np.inf, 1e300, 0.0, 0.0])),
+        lambda v: np.array([]),
+    ])
+    def test_wrong_candidates_cost_counts_not_digits(self, guess):
+        pencil = _route_pencil(ss.make_params(0.5, -0.5, 0.0, 1.0), 60, "fem")
+        want = ss.solve_pencil(pencil)
+        got = ss.solve_pencil(pencil, guess(want.values))
+        np.testing.assert_array_equal(got.values, want.values)
+        assert got.dropped == want.dropped and got.passes > 1
+        assert got.residual_bound <= np.finfo(float).eps
+
+    def test_guess_keeps_the_range_guard_and_inertia_checks(self):
+        K = _tridiag([1.0, 1.0], [0.0])
+        out = ss.solve_pencil(ss.PencilProblem(K, [1.0, 1e-295], 2), [1.0, 1e295])
+        assert out.dropped == 1 and out.values.tolist() == [1.0] and out.passes == 1
+        with pytest.raises(ss.NotPositiveDefinite):
+            ss.solve_pencil(ss.PencilProblem(_tridiag([1.0, 1.0], [2.0]), [1.0, -1.0], 2), [1.0])
+        with pytest.raises(ss.OutOfRange, match="NaN"):
+            ss.solve_pencil(ss.PencilProblem(K, [1.0, 1.0], 2), [1.0, math.nan])
 
 
 def _plain_multisection(p):

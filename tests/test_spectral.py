@@ -3,11 +3,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import selfsimspec as ss
-from selfsimspec import eigensolve, operators
+from selfsimspec import eigensolve, operators, spectral
 from conftest import canonical, contraction_params, run_cli
 
 P = canonical()
@@ -201,6 +201,118 @@ class TestInertiaCore:
         assert int(np.sum(sec.values < 0.0)) == int(np.sum(PN.r * (-1.0) ** np.arange(N) < 0.0))
         near = ss.compute_spectrum(PN, N, "jacobi-section", count=N // 2).values
         np.testing.assert_allclose(near, fem, rtol=1e-12)
+
+
+# Points where a and |d| are powers of two, so that order continuation fires.
+DYADIC = [(0.5, 0.5, 0.0, 1.0), (0.5, -0.5, 0.0, 1.0), (0.5, 0.25, 0.0, 1.0), (0.25, 0.5, 0.0, 1.0),
+          (0.25, -1.0, 0.0, 1.0), (0.5, 1.0, 0.0, 1.0), (0.125, 2.0, 0.5, 1.0)]
+PENCIL_FORMS = ("fem-pencil", "jacobi-section")
+
+
+def _pencil(p, N, form):
+    if form == "fem-pencil":
+        return spectral._fem_pencil(ss.weight_truncation(p, N))
+    return spectral._section_pencil(p, N)
+
+
+def _check_direct(spec, pencil):
+    """compute_spectrum's values and dropped equal solve_pencil's on the order-N pencil, bit for
+    bit, except at an index where the count changes more than once between the two values:
+    roundoff makes it non-monotone there, and either change is an answer of the count."""
+    want = ss.solve_pencil(pencil)
+    assert spec.dropped == want.dropped and len(spec.values) == len(want.values)
+    K, M = pencil.K, pencil.M
+    below = int(eigensolve._counts_below(K.diag, K.offdiag, M, [-1.0 / eigensolve._MU_GUARD])[0])
+    for i in np.flatnonzero(spec.values != want.values):
+        lo, hi = sorted((spec.values[i], want.values[i]))
+        ulp = np.spacing(min(abs(lo), abs(hi)))
+        xs = lo + ulp * np.arange(-2, (hi - lo) / ulp + 3)
+        assert len(xs) < 10**5
+        up = eigensolve._counts_below(K.diag, K.offdiag, M, xs) > below + i
+        assert not up[np.argmax(up):].all(), (i, spec.values[i], want.values[i])
+    return want
+
+
+class TestOrderContinuation:
+    """Where a and |d| are powers of two, compute_spectrum solves the fem and section pencils
+    of order N from order M = ceil((N + K0 + T)/2), recursively, and certifies the mapped
+    candidates by one count per level."""
+
+    @pytest.mark.parametrize("form", PENCIL_FORMS)
+    @pytest.mark.parametrize("args", DYADIC)
+    def test_self_similarity_is_exact(self, args, form):
+        """The two identities the candidates rest on, bit for bit, at the helper's own K0 and
+        T: lambda_(k+1)(N) = q*lambda_k(N-1) for k >= K0 and lambda_k(N) = lambda_k(N-1)
+        below depth T, by magnitude, 0-based. The depths measured at N = 200 lie within them:
+        K0 3-7, fem T 10-27 and section T 17-53."""
+        p, N = ss.make_params(*args), 200
+        k0, T = spectral._exact_depths(p, form)
+        big, small = (spectral._by_magnitude(ss.solve_pencil(_pencil(p, n, form)).values)
+                      for n in (N, N - 1))
+        assert len(big) == N and len(small) == N - 1
+        np.testing.assert_array_equal(big[k0 + 1 :], p.q * small[k0:])
+        np.testing.assert_array_equal(big[: N - 1 - T], small[: N - 1 - T])
+
+    @pytest.mark.parametrize("form", PENCIL_FORMS)
+    @given(st.sampled_from((0.5, 0.25, 0.125)), st.integers(-1, 12), st.sampled_from((1.0, -1.0)),
+           st.floats(-1.0, 1.0), st.floats(-1.0, 2.0), st.integers(1, 1000))
+    @settings(deadline=None, max_examples=25)
+    def test_continued_equals_direct(self, form, a, k, sign, beta1, beta2, N):
+        """Over dyadic a and d = +-2^-k in the contraction domain, up to max_order."""
+        d = sign * 2.0**-k
+        assume(a * d * d < 1.0 and abs(d * beta1 + beta2 - beta1) >= 0.1)
+        p = ss.make_params(a, d, beta1, beta2)
+        N = min(N, p.max_order)
+        spec = ss.compute_spectrum(p, N, form)
+        _check_direct(spec, _pencil(p, N, form))
+        assert spec.info.levels >= 1 + (N > sum(spectral._exact_depths(p, form)) + 1)
+
+    @pytest.mark.parametrize("form", PENCIL_FORMS)
+    @pytest.mark.parametrize("args,N", [
+        *[(args, N) for args in DYADIC[:2] for N in (20, 60, 150, 300)],
+        ((0.5, 0.5, 0.0, 1e308), 481), ((0.5, 0.5, 0.0, 1e-250), 245), ((0.5, 1.0, 0.0, 1.0), 963),
+    ])
+    def test_ladders_and_extremes_are_bit_identical(self, args, N, form):
+        """The benchmark's dyadic ladders, masses near 1e308 and 1e-250, and q = 2 at its
+        max_order."""
+        p = ss.make_params(*args)
+        spec = ss.compute_spectrum(p, N, form)
+        want = _check_direct(spec, _pencil(p, N, form))
+        np.testing.assert_array_equal(spec.values, want.values)
+
+    def test_counts_summed_over_levels_at_canonical_order_300(self, monkeypatch):
+        """The direct solve takes 9 counts and 3 Rayleigh sweeps here. Continued, order 29
+        is solved directly (5 counts, 3 sweeps) and orders 30, 31, 33, 37, 45, 62, 96, 164
+        and 300 take one count each: 14 counts over 10 levels, the sweeps all at the base."""
+        sweeps, twist = [], eigensolve._twist
+        monkeypatch.setattr(eigensolve, "_twist", lambda *a: sweeps.append(len(a[3])) or twist(*a))
+        info = ss.compute_spectrum(P, 300).info
+        assert (info.passes, info.levels, len(sweeps)) == (14, 10, 3)
+        assert info.method == "bisect" and info.residual_bound <= np.finfo(float).eps
+
+    @pytest.mark.parametrize("args,N", [((0.9, -1.0, 0.0, 1.0), 100), ((0.2, -1.5, 0.3, 1.0), 120),
+                                        ((0.5, 0.3, 0.0, 1.0), 200), ((0.3, 0.5, 0.0, 1.0), 200)])
+    def test_other_points_are_solved_directly(self, args, N):
+        """a or |d| not a power of two: one level, the direct solve's counts."""
+        p = ss.make_params(*args)
+        for form in PENCIL_FORMS if args[1] > 0 else PENCIL_FORMS[:1]:
+            spec = ss.compute_spectrum(p, N, form)
+            want = ss.solve_pencil(_pencil(p, N, form))
+            assert spectral._exact_depths(p, form) is None and spec.info.levels == 1
+            assert spec.info.passes == want.passes
+            np.testing.assert_array_equal(spec.values, want.values)
+
+    def test_result_keeps_the_solver_record(self):
+        """SpectrumResult.info is the solver's EigenvalueList for the whole spectrum; count
+        selects values from it, and dropped reads it."""
+        spec = ss.compute_spectrum(PN, 30, count=5)
+        assert len(spec.values) == 5 and len(spec.info.values) == 30
+        assert spec.dropped == spec.info.dropped == 0
+        green = ss.compute_spectrum(P, 20, "green-kernel").info
+        assert green.method == "jacobi" and green.levels == 1
+        assert _synthetic(P, [1.0]).dropped == 0
+        tiny = ss.compute_spectrum(ss.make_params(0.5, 0.5, 0.0, 1e-250), 150)
+        assert tiny.dropped == tiny.info.dropped > 0
 
 
 class TestCrossValidate:
