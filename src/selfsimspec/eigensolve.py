@@ -12,19 +12,19 @@ here therefore works with relative thresholds:
   signs of T - x*diag(m) count the eigenvalues below each probe;
   brackets are isolated on a binary probe grid first, so each spans at
   most a factor of 2 and the iteration cap holds across the full dynamic
-  range (one count takes every 32nd grid point, a second only the cells
-  whose count changes), then cut by one rule, at the change of count
-  nearest a chosen probe, until their ends are adjacent doubles, many
-  probes per vectorised count (taken a block of rows at a time): equal
-  parts (multisection) and, once most brackets hold one eigenvalue each,
-  a fan of probes around Rayleigh-quotient estimates, which Newton steps
-  on the twist element gamma_r of the twisted factorization take to
-  roundoff in a few sweeps (Dhillon & Parlett, Linear Algebra Appl. 387,
-  2004). The counts stay the only judge, and no stop has an absolute
-  term, so eigenvalues near 2.2e-308 keep their digits. Given a guess
-  (order continuation's candidates, see spectral), one count at each
-  candidate and its two adjacent doubles closes every bracket it
-  certifies, and only the rest take the probe grid and the steps above;
+  range (one count at a seed, every 32nd grid point or a guess's
+  candidates, then one at the grid points inside the brackets still
+  open), then cut by one rule, at the change of count nearest a chosen
+  probe, until their ends are adjacent doubles, many probes per
+  vectorised count (taken a block of rows at a time): equal parts
+  (multisection) and, once most brackets hold one eigenvalue each, a fan
+  of probes around Rayleigh-quotient estimates, which Newton steps on the
+  twist element gamma_r of the twisted factorization take to roundoff in
+  a few sweeps (Dhillon & Parlett, Linear Algebra Appl. 387, 2004). The
+  counts stay the only judge, and no stop has an absolute term, so
+  eigenvalues near 2.2e-308 keep their digits. Given a guess (order
+  continuation's candidates, see spectral), the seed count closes every
+  bracket the candidates certify, and only the rest take the grid;
 * twisted LDL^T factorizations, O(N) each, one helper for those steps
   and for the pencil eigenvectors: one pass runs both factorizations side
   by side into one buffer, which the Rayleigh steps turn into their sums
@@ -133,8 +133,8 @@ class EigenvalueList:
     doubles; for Jacobi the largest |a_ij| / (sqrt|a_ii| * sqrt|a_jj|),
     i < j, left. dropped counts eigenvalues beyond 1/_MU_GUARD (for Green,
     reciprocals below _MU_GUARD), which are excluded rather than reported.
-    passes is the work done: inertia-count passes for bisection, the probe
-    grid's counts included, and sweeps for Jacobi. levels is the number of
+    passes is the work done: inertia-count passes for bisection, the
+    seeding step's included, and sweeps for Jacobi. levels is the number of
     orders solved for this one: 1, or more where order continuation (see
     spectral) solved lower orders first, and passes then sums the counts of
     every level.
@@ -355,26 +355,6 @@ def _probe_grid(glo: float, ghi: float) -> np.ndarray:
             side = np.ldexp(t, -np.arange(1, k + 1))
             probes.append(side[np.abs(side) > abs(bound)])
     return np.sort(np.concatenate(probes))
-
-
-def _grid_counts(diag, off, mass, grid: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """_counts_below at every point of the ascending grid and at 0.0, in one count or two.
-
-    The first probes every _COARSE-th grid point, the last, any at 0.0, and 0.0. Counts are
-    monotone, so a cell whose ends agree holds their count; the second probes the interior
-    of the other cells, if they have any. Returns (counts, count at 0.0, counts taken).
-    """
-    at = grid == 0.0
-    at[::_COARSE] = at[-1] = True
-    coarse = np.flatnonzero(at)
-    first = _counts_below(diag, off, mass, np.append(grid[coarse], 0.0))
-    counts = np.repeat(first[:-1], np.diff(coarse, append=len(grid)))  # a cell's left end's
-    changed = np.repeat(np.diff(first[:-1]) != 0, np.diff(coarse))  # per point but the last
-    changed[coarse[:-1]] = False
-    fine = np.flatnonzero(changed)
-    if len(fine):
-        counts[fine] = _counts_below(diag, off, mass, grid[fine])
-    return counts, int(first[-1]), 1 + bool(len(fine))
 
 
 def _couplings(A: np.ndarray, rot_tol: float) -> tuple[float, int]:
@@ -601,6 +581,43 @@ def _brackets(probes, counts, idxs) -> tuple[np.ndarray, np.ndarray]:
     return probes[j - 1], probes[j]
 
 
+def _seed(diag, off, mass, glo: float, ghi: float, guess=None):
+    """solve_pencil's seeding step: (idxs, los, his, counts taken), the kept indices and their
+    brackets, each between two counted probes. The first count's seed is the guess's probes
+    (_guess_probes) or every _COARSE-th grid point, the last and any at 0.0; the second, if a
+    bracket is still wider than adjacent doubles, the grid points strictly inside the open ones."""
+    if guess is None:
+        grid = _probe_grid(glo, ghi)
+        at = grid == 0.0
+        at[::_COARSE] = at[-1] = True
+        probes = grid[at]
+    else:
+        grid, probes = None, _guess_probes(guess, glo, ghi)
+    counts = _counts_below(diag, off, mass, np.append(probes, 0.0))
+    n_neg = int(np.sum(mass < 0.0))
+    if n_neg and counts[-1] != n_neg:
+        raise NotPositiveDefinite("stiffness matrix has a negative eigenvalue")
+    counts = counts[:-1]
+    if counts[-1] <= counts[0]:
+        raise ZeroEigenvalue("every eigenvalue lies beyond the range guard")
+    idxs = np.arange(counts[0] + 1, counts[-1] + 1)
+    los, his = _brackets(probes, counts, idxs)
+    wide = np.nextafter(los, his) != his
+    if not wide.any():
+        return idxs, los, his, 1
+    grid = _probe_grid(glo, ghi) if grid is None else grid
+    # the open brackets over each grid point: +1 from the first point above lo, -1 from hi on
+    first, stop = np.searchsorted(grid, los[wide], "right"), np.searchsorted(grid, his[wide])
+    over = np.bincount(first, minlength=len(grid)) - np.bincount(stop, minlength=len(grid))
+    inside = grid[np.cumsum(over) > 0]
+    if len(inside):
+        probes = np.concatenate((probes, inside))
+        counts = np.concatenate((counts, _counts_below(diag, off, mass, inside)))
+        order = np.argsort(probes)  # no probe is counted twice
+        los, his = _brackets(probes[order], counts[order], idxs)
+    return idxs, los, his, 1 + bool(len(inside))
+
+
 def solve_pencil(p: PencilProblem, guess=None) -> EigenvalueList:
     """Eigenvalues of K y = lambda M y, ascending, by the inertia core.
 
@@ -615,22 +632,22 @@ def solve_pencil(p: PencilProblem, guess=None) -> EigenvalueList:
     sign its count reads, so it is solved. Pencils built from a weight or a
     section below the range guard keep X*|m_i| near q^N or a^-N, within 1e301.
 
-    The counts over the _probe_grid (_grid_counts: a coarse count, then one
-    of the cells whose count changes) give the kept index range, the
-    brackets and, when a mass is negative (only then does the count need K
-    positive definite), K's inertia from the first count's probe at 0.
+    _seed's one seeding step gives the kept index range, the brackets and,
+    when a mass is negative (only then does the count need K positive
+    definite), K's inertia from its probe at 0: a count at the seed, every
+    _COARSE-th point of the _probe_grid, then, if a bracket is still wider
+    than adjacent doubles, one at the grid points strictly inside the open
+    brackets, after which every bracket is taken again from all the probes
+    counted. Each then lies within a grid cell and ends at a counted probe.
 
     guess, eigenvalue candidates in any order (order continuation supplies
-    them, see spectral), replaces the grid by one count: at each candidate
-    inside the Gershgorin interval and its two adjacent doubles, at the
-    interval's ends (the kept range) and at 0 (the inertia). An index whose
-    bracket from these probes is two adjacent doubles is closed at once. If
-    any is left open, the grid's counts are taken too, and every bracket is
-    taken again from both sets of probes, so each open one lies within a grid
-    cell; only those go on to the loop below. The counts judge the guess as
-    they judge every probe, so a wrong candidate costs counts, not accuracy,
-    and where the count is monotone the result is the solve without a guess,
-    bit for bit. passes counts the guess's count too.
+    them, see spectral), is the seed instead: each candidate inside the
+    Gershgorin interval and its two adjacent doubles. An index whose bracket
+    from these probes is two adjacent doubles is closed at once, and the
+    grid is built and counted only if one is left open. The counts judge the
+    guess as they judge every probe, so a wrong candidate costs counts, not
+    accuracy, and where the count is monotone the result is the solve
+    without a guess, bit for bit. passes counts the seeding step's counts.
 
     Each count then probes every open bracket, in groups, and _cut takes one
     rule on all: the sub-bracket at the change of count nearest column m of
@@ -654,31 +671,7 @@ def solve_pencil(p: PencilProblem, guess=None) -> EigenvalueList:
     if not np.isfinite(reach[coupled]).all():
         raise OutOfRange("pencil out of double range: K_ii - x*m_i overflows within the "
                          "Gershgorin bounds")
-    if guess is None:
-        probes = _probe_grid(glo, ghi)
-        counts, at_zero, passes = _grid_counts(K.diag, K.offdiag, M, probes)
-    else:
-        probes = _guess_probes(guess, glo, ghi)
-        counts = _counts_below(K.diag, K.offdiag, M, np.append(probes, 0.0))
-        counts, at_zero, passes = counts[:-1], int(counts[-1]), 1
-    n_neg = int(np.sum(M < 0.0))
-    if n_neg and at_zero != n_neg:
-        raise NotPositiveDefinite("stiffness matrix has a negative eigenvalue")
-    k1, k2 = int(counts[0]), int(counts[-1])
-    if k2 <= k1:
-        raise ZeroEigenvalue("every eigenvalue lies beyond the range guard")
-    idxs = np.arange(k1 + 1, k2 + 1)
-    los, his = _brackets(probes, counts, idxs)
-    if guess is not None and (np.nextafter(los, his) != his).any():
-        grid = _probe_grid(glo, ghi)
-        grid_counts, _, taken = _grid_counts(K.diag, K.offdiag, M, grid)
-        order = np.argsort(np.concatenate((probes, grid)), kind="stable")
-        probes = np.concatenate((probes, grid))[order]
-        keep = np.diff(probes, prepend=-np.inf) != 0.0  # a probe of the guess's before the grid's
-        los, his = _brackets(probes[keep], np.concatenate((counts, grid_counts))[order][keep],
-                             idxs)
-        passes += taken
-
+    idxs, los, his, passes = _seed(K.diag, K.offdiag, M, glo, ghi, guess)
     active = np.nextafter(los, his) != his
     fresh = np.ones(len(idxs), dtype=bool)  # no correction has served the bracket
     for _ in range(_BISECT_CAP):
@@ -716,7 +709,7 @@ def solve_pencil(p: PencilProblem, guess=None) -> EigenvalueList:
     scale = np.maximum(np.maximum(np.abs(los), np.abs(his)), _PIVMIN)
     width = float(np.max((his - los) / scale))
     return EigenvalueList(
-        vals, residual_bound=width, method="bisect", dropped=int(p.order - (k2 - k1)), passes=passes
+        vals, residual_bound=width, method="bisect", dropped=p.order - len(idxs), passes=passes
     )
 
 

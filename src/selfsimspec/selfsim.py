@@ -97,8 +97,8 @@ def make_params(a: float, d: float, beta1: float, beta2: float) -> SelfSimilarPa
     Raises
     ------
     OutOfRange
-        a outside (0, 1), any input not finite, or d*beta1 + beta2 - beta1
-        (and so r) overflowing.
+        a outside (0, 1), any input not finite, q = 1/(a*d) not finite (a*d
+        underflowing), or d*beta1 + beta2 - beta1 (and so r) overflowing.
     NotContractive
         a*d**2 >= 1, where the similarity map stops being a contraction.
     DegenerateWeight
@@ -117,7 +117,9 @@ def make_params(a: float, d: float, beta1: float, beta2: float) -> SelfSimilarPa
     jump = d * beta1 + beta2 - beta1
     if jump == 0.0:
         raise DegenerateWeight("d*beta1 + beta2 - beta1 = 0, all masses vanish")
-    q = 1.0 / (a * d)
+    q = 1.0 / (a * d) if a * d != 0.0 else math.inf
+    if not math.isfinite(q):
+        raise OutOfRange(f"q = 1/(a*d) overflows: a*d = {a * d!r}")
     r = (1.0 - a) * jump
     if not math.isfinite(r):  # the jump overflowed
         raise OutOfRange(f"d*beta1 + beta2 - beta1 overflows: {jump!r}")

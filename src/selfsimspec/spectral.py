@@ -385,12 +385,16 @@ def verify_suite(params: SelfSimilarParams, N: int = 20) -> list[tuple[str, bool
     allow, if N is beyond it), and the inertia count: kept plus dropped
     eigenvalues make N, and the weight's negative masses lie between the
     kept negative eigenvalues and those plus the dropped ones. Each line
-    names the order it ran at.
+    names the order it ran at: min(N, max_order), but the fixed-point depth
+    min(40, max_order) and at least 2, the first depth with plateaus to
+    compare (the step function holds no q^k entry the range guard bounds).
+    max_order 0 raises RangeOverflow.
     """
     out = []
     rng = random.Random(1234)  # the stdlib generator: numpy.random is a large import
 
-    depth = min(40, params.max_order)
+    _check_order(params, min(N, max(1, params.max_order)))  # no line runs at max_order 0
+    depth = max(2, min(40, params.max_order))
     res = fixed_point_residual(params, depth)
     scale = max(abs(params.beta1), abs(params.beta2), 1.0)  # the plateau values grow with it
     out.append(("fixed-point residual", res <= 1e-12 * scale, f"{res:.3e} at depth {depth}"))

@@ -216,6 +216,32 @@ class TestExitCodes:
         assert out == ""
         assert "d*beta1 + beta2 - beta1 overflows" in err
 
+    @pytest.mark.parametrize("a,d", [("1e-200", "1e-200"), ("5e-324", "-2")])
+    def test_overflowing_q_is_two(self, a, d):
+        """a*d underflows to 0 (a ZeroDivisionError traceback and exit 1) or to -1e-323
+        (exit 0 with "q": -Infinity, which is not JSON): the parameters are refused."""
+        code, out, err = run_cli("weight", "--a", a, "--d", d, "--n", "1")
+        assert (code, out) == (2, "")
+        assert "q = 1/(a*d) overflows" in err
+
+    def test_verify_at_max_order_zero_is_three(self):
+        """q = 3.3e300 leaves no order inside the range guard: verify says so as spectrum
+        does, where it exited 2 naming a fixed-point depth of 0 that nobody gave."""
+        argv = ("--a", "0.3", "--d", "1e-300", "--n", "5")
+        code, out, err = run_cli("verify", *argv)
+        assert (code, out) == (3, "")
+        assert err == run_cli("spectrum", *argv[:-1], "1")[2]
+        assert err.startswith("RangeOverflow: order 1 beyond the range guard 0")
+
+    def test_verify_at_max_order_one_runs(self):
+        """q = 3.3e150 admits order 1 only: the fixed-point residual runs at depth 2 (its
+        plateaus hold no q^k entry) and every other line at order 1, where verify exited 2
+        with "depth must be >= 2, got 1"."""
+        code, out, err = run_cli("verify", "--a", "0.3", "--d", "1e-150", "--n", "5")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 6)
+        assert lines[0].endswith("at depth 2") and all("order 1" in x for x in lines[1:5])
+
     def test_underflowing_weight_is_three_before_allocating(self):
         """0.5^20000000 underflows: refused before arrays of 20 million entries exist."""
         tracemalloc.start()

@@ -153,20 +153,27 @@ class TestBlockedCount:
 
 
 class TestGridCounts:
-    """_grid_counts counts a coarse grid first and then only the interior of the
-    cells whose count changes; the counts are monotone, so every count equals
-    the full grid's exactly."""
+    """_seed counts every _COARSE-th grid point first and then only the grid points inside
+    the brackets still open; the counts are monotone, so its brackets are those of the full
+    grid's counts, each between two counted probes, in at most two counts."""
 
     @staticmethod
     def _check(diag, off, mass):
         guard = 1.0 / eigensolve._MU_GUARD
-        grid = eigensolve._probe_grid(*np.clip(eigensolve._gershgorin(diag, off, mass),
-                                               -guard, guard))
-        counts, at_zero, taken = eigensolve._grid_counts(diag, off, mass, grid)
-        full = eigensolve._counts_below(diag, off, mass, np.append(grid, 0.0))
-        np.testing.assert_array_equal(counts, full[:-1])
-        assert at_zero == full[-1] and taken in (1, 2)
-        return grid
+        glo, ghi = np.clip(eigensolve._gershgorin(diag, off, mass), -guard, guard)
+        grid = eigensolve._probe_grid(glo, ghi)
+        full = eigensolve._counts_below(diag, off, mass, grid)
+        if full[-1] <= full[0]:  # every eigenvalue beyond the range guard
+            with pytest.raises(ss.ZeroEigenvalue):
+                eigensolve._seed(diag, off, mass, glo, ghi)
+            return grid, None, None
+        idxs, los, his, taken = eigensolve._seed(diag, off, mass, glo, ghi)
+        np.testing.assert_array_equal(idxs, np.arange(full[0] + 1, full[-1] + 1))
+        want_lo, want_hi = eigensolve._brackets(grid, full, idxs)
+        np.testing.assert_array_equal(los, want_lo)
+        np.testing.assert_array_equal(his, want_hi)
+        assert taken in (1, 2)
+        return grid, los, his
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.booleans(), st.booleans())
     @example(0, 1, False, False)
@@ -194,14 +201,16 @@ class TestGridCounts:
 
     def test_zero_pivot_at_zero(self):
         """Row 40 is decoupled with d = 0: its pivot at the grid point 0.0 is exactly
-        zero and clamps to +_PIVMIN, so its eigenvalue 0 is not counted below 0.0."""
+        zero and clamps to +_PIVMIN, so its eigenvalue 0 is not counted below 0.0 and
+        its bracket starts there."""
         n = 80
         rng = np.random.default_rng(7)
         diag = rng.standard_normal(n) * 10.0 ** rng.uniform(-100.0, 100.0, n)
         off = rng.standard_normal(n - 1)
         diag[40], off[39], off[40] = 0.0, 0.0, 0.0
-        grid = self._check(diag, off, np.ones(n))
+        grid, los, his = self._check(diag, off, np.ones(n))
         assert 0.0 in grid and len(grid) > 10 * eigensolve._COARSE
+        assert 0.0 in los and 0.0 not in his
 
 
 class TestProbeGrid:
@@ -452,8 +461,9 @@ class TestSolvePencil:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_probe_grid_is_counted_once(self, sign, monkeypatch):
         """The kept index range, the brackets and (with negative masses) the
-        positive definite test all come from the probe grid's counts, coarse
-        then fine; only the first probes the Gershgorin ends or zero."""
+        positive definite test all come from _seed's counts, the coarse grid
+        then the grid inside the open brackets; only the first probes the
+        Gershgorin ends or zero."""
         calls = []
         counts_below = eigensolve._counts_below
 
@@ -470,37 +480,37 @@ class TestSolvePencil:
 
     def test_canonical_grid_stage_probes_few_points(self, monkeypatch):
         """The canonical fem grid at N = 300 has 3245 points, ~600 of them where
-        eigenvalues lie: its two counts probe at most 1000, and passes is the
-        number of counts the solve takes, these two included."""
+        eigenvalues lie: _seed's two counts probe at most 1000, its brackets are the
+        full grid's, and passes is the number of counts the solve takes, these two
+        included."""
         w = ss.weight_truncation(P, 300)
         K, M = ss.stiffness_matrix(w), ss.mass_matrix(w)
         guard = 1.0 / eigensolve._MU_GUARD
-        grid = eigensolve._probe_grid(*np.clip(eigensolve._gershgorin(K.diag, K.offdiag, M),
-                                               -guard, guard))
+        glo, ghi = np.clip(eigensolve._gershgorin(K.diag, K.offdiag, M), -guard, guard)
+        grid = eigensolve._probe_grid(glo, ghi)
         calls = []
         counts_below = eigensolve._counts_below
         monkeypatch.setattr(eigensolve, "_counts_below",
                             lambda *a: calls.append(len(a[3])) or counts_below(*a))
-        counts, _, taken = eigensolve._grid_counts(K.diag, K.offdiag, M, grid)
+        idxs, los, his, taken = eigensolve._seed(K.diag, K.offdiag, M, glo, ghi)
         assert len(grid) == 3245 and taken == len(calls) == 2 and sum(calls) <= 1000
-        np.testing.assert_array_equal(counts, counts_below(K.diag, K.offdiag, M, grid))
+        want = eigensolve._brackets(grid, counts_below(K.diag, K.offdiag, M, grid), idxs)
+        np.testing.assert_array_equal(np.stack((los, his)), want)
         calls.clear()
         assert ss.solve_pencil(ss.PencilProblem(K, M, 300)).passes == len(calls)
 
     @pytest.mark.parametrize("form,most", [("fem", 16), ("section", 10)])
     def test_grid_brackets_stop_short_of_zero(self, form, most):
         """At beta2 = 1e308 the smallest eigenvalue, 3.36e-308, is a normal double: the grid
-        halves down to the smallest normal, so no bracket ends at 0.0 (equal parts of a
-        bracket from 0 gain no relative digits until they reach the eigenvalue's binade;
+        halves down to the smallest normal, so no bracket of _seed ends at 0.0 (equal parts
+        of a bracket from 0 gain no relative digits until they reach the eigenvalue's binade;
         with the grid ending near 1e-300, 13 brackets started at 0.0 and the solve took
         20 counts)."""
         pencil = _route_pencil(ss.make_params(0.5, 0.5, 0.0, 1e308), 481, form)
         K, M, guard = pencil.K, pencil.M, 1.0 / eigensolve._MU_GUARD
-        grid = eigensolve._probe_grid(*np.clip(eigensolve._gershgorin(K.diag, K.offdiag, M),
-                                               -guard, guard))
-        counts, _, _ = eigensolve._grid_counts(K.diag, K.offdiag, M, grid)
-        j = np.searchsorted(np.maximum.accumulate(counts), np.arange(counts[0], counts[-1]) + 1)
-        assert counts[-1] - counts[0] == 481 and 0.0 not in grid[np.r_[j - 1, j]]
+        glo, ghi = np.clip(eigensolve._gershgorin(K.diag, K.offdiag, M), -guard, guard)
+        idxs, los, his, _ = eigensolve._seed(K.diag, K.offdiag, M, glo, ghi)
+        assert len(idxs) == 481 and 0.0 not in np.r_[los, his]
         got = ss.solve_pencil(pencil)
         assert got.values[0] > np.finfo(float).tiny and got.passes <= most
 
@@ -519,8 +529,8 @@ class TestSolvePencil:
 
 class TestGuess:
     """solve_pencil(p, guess) counts once at each candidate and its adjacent doubles, at the
-    Gershgorin ends and at 0, closes every bracket those probes certify and gives the rest
-    the probe grid's brackets. Where the count is monotone the result is the solve without
+    Gershgorin ends and at 0, closes every bracket those probes certify and counts the probe
+    grid only inside the rest. Where the count is monotone the result is the solve without
     a guess, bit for bit, whatever the candidates are."""
 
     @pytest.mark.parametrize("form", ["fem", "section"])
@@ -549,6 +559,40 @@ class TestGuess:
         np.testing.assert_array_equal(got.values, want.values)
         assert got.dropped == want.dropped and got.passes > 1
         assert got.residual_bound <= np.finfo(float).eps
+
+    def test_open_brackets_count_the_grid_inside_them_once(self, monkeypatch):
+        """Canonical fem at N = 300 with the upper half of the candidates 37% high: the
+        second count probes only grid points, strictly inside the brackets the first left
+        open, and the solve takes 6 counts (7 when the whole grid was counted again)."""
+        pencil = _route_pencil(P, 300, "fem")
+        want = ss.solve_pencil(pencil)
+        guess = want.values.copy()
+        guess[150:] *= 1.37
+        calls, counts_below = [], eigensolve._counts_below
+        monkeypatch.setattr(eigensolve, "_counts_below",
+                            lambda *a: calls.append(np.asarray(a[3])) or counts_below(*a))
+        got = ss.solve_pencil(pencil, guess)
+        np.testing.assert_array_equal(got.values, want.values)
+        assert got.passes == len(calls) == 6
+        K, M, guard = pencil.K, pencil.M, 1.0 / eigensolve._MU_GUARD
+        grid = eigensolve._probe_grid(*np.clip(eigensolve._gershgorin(K.diag, K.offdiag, M),
+                                               -guard, guard))
+        assert np.isin(calls[1], grid).all() and not np.isin(calls[1], calls[0]).any()
+        assert len(calls[1]) < len(grid) // 4
+
+    @pytest.mark.parametrize("params,N,passes,levels", [
+        ((0.5, -0.125, 0.06305480040945466, 0.2179661732686582), 122, 71, 7),
+        ((0.125, -0.25, -0.47926269613649675, -0.2916721215459058), 104, 52, 8),
+    ])
+    def test_continuation_levels_left_open(self, params, N, passes, levels):
+        """Dyadic section points where some continuation levels leave brackets open: each
+        such level takes one count of the grid inside them (77 and 56 counts in all when
+        those levels counted the whole grid), and the values are the direct solve's."""
+        p = ss.make_params(*params)
+        got = ss.compute_spectrum(p, N, "jacobi-section")
+        want = ss.solve_pencil(spectral._section_pencil(p, N))
+        np.testing.assert_array_equal(got.values, want.values)
+        assert (got.info.passes, got.info.levels) == (passes, levels)
 
     def test_guess_keeps_the_range_guard_and_inertia_checks(self):
         K = _tridiag([1.0, 1.0], [0.0])

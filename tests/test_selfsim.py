@@ -46,6 +46,13 @@ class TestMakeParams:
         with pytest.raises(ss.OutOfRange, match="overflows"):
             ss.make_params(0.5, d, beta1, beta2)
 
+    @pytest.mark.parametrize("a,d", [(1e-200, 1e-200), (5e-324, -2.0), (1e-160, 1e-150)])
+    def test_overflowing_q_rejected(self, a, d):
+        """a*d underflows to 0, or to a subnormal whose reciprocal overflows: q = 1/(a*d)
+        would raise ZeroDivisionError or be infinite."""
+        with pytest.raises(ss.OutOfRange, match="q = 1/\\(a\\*d\\) overflows"):
+            ss.make_params(a, d, 0.0, 1.0)
+
     def test_zero_jump_degenerate(self):
         # d*beta1 + beta2 - beta1 = 0.5 + 0.5 - 1 = 0
         with pytest.raises(ss.DegenerateWeight):
