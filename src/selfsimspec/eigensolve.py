@@ -39,8 +39,10 @@ here therefore works with relative thresholds:
   a graded matrix's relative couplings die off with |i - j|. A round
   is two passes over two buffers: the pairs' rows rotate from one into
   the other through strided views, the transpose is copied back and its
-  rows rotate again. The matrix is then symmetric to roundoff only, so
-  every test reads the entries above the diagonal. No product of two
+  rows rotate again. Rounds are planned once per solve: the first sweep
+  to reach a round builds its views of both buffers, and later sweeps
+  reuse them. The matrix is then symmetric to roundoff only, so every
+  test reads the entries above the diagonal. No product of two
   entries is formed, and graded positive definite inputs keep high
   relative accuracy. The route holds _DENSE_BYTES per matrix entry at
   once, as the pencil eigenvectors do, so both refuse orders beyond 6553
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,7 +98,12 @@ _TWIST_BUDGET = 2**25
 _TWIST_BYTES = 18
 # Bytes per matrix entry the dense routes hold at once. Green: G, LAPACK's copy of it and L in
 # the Cholesky, then G's buffer, L and L^T S L, then in Jacobi A and B (float64 each), 24 in
-# all; the stop test's row blocks and the rounds' per-pair arrays fit in the 25th.
+# all; the stop test's row blocks, the rounds' per-pair arrays and the table of planned rounds
+# fit in the 25th. A planned round (_Round) holds four views of ~160 bytes per part and its
+# tuple: ~0.93 KB with one part, ~1.86 KB with two (tracemalloc, n = 1000, 1.20 KB over all
+# 1498 rounds). A solve plans at most (n - 1) + (n - 1) // 2 rounds, ~1.5n, so at order 6553
+# with w = n under 9828 * 1.86 KB = 18.3 MB, and with the row blocks (32 rows, 1.7 MB) and
+# the per-pair arrays (< 1 MB) under the n^2 bytes, 42.9 MB, of the 25th.
 # pencil_eigenpairs: the twist's buffer, 16, and the vectors, 8; its O(n) state fits in the
 # 25th. Orders up to 6553 for 1 GiB.
 _DENSE_BYTES = 25
@@ -374,8 +382,9 @@ def _couplings(A: np.ndarray, rot_tol: float) -> tuple[float, int]:
         np.abs(np.divide(A[b : b + k, b:], r, out=r), out=r)
         r[:, :k] = np.triu(r[:, :k], 1)
         tops.append(r.max())
-        rows, cols = np.nonzero(r > rot_tol)
-        band = max(band, int(np.max(cols - rows, initial=0)))
+        i, j = np.arange(k), np.argmax((r > rot_tol)[:, ::-1], axis=1)  # j columns from the last
+        hit = r[i, -1 - j] > rot_tol  # the row has a column above rot_tol, and -1 - j is its last
+        band = max(band, int(np.max((n - 1 - b - j - i)[hit], initial=0)))
     return float(np.max(tops)), band
 
 
@@ -386,77 +395,127 @@ def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float, int]:
     the band w bounds the sweep, which rotates the rounds (s, o) for s = 1..w, o = 0 then s,
     so every pair above rot_tol at the start of a sweep is visited in it, nearest neighbours
     first, where a graded matrix has its largest relative couplings. A round writes the
-    rotated matrix into the other of two buffers.
+    rotated matrix into the other of two buffers. Rounds are planned once per solve: the
+    first sweep to reach (s, o) builds its _Round, views of both buffers and ints only, and
+    later sweeps take it from a table that is dropped on return. A NaN ratio (from a NaN or
+    an infinite entry) raises NonConvergence naming its pair and sweep at once.
     """
     n = A.shape[0]
     rot_tol = max(1e-15, 4 * n * _EPS)
-    B = np.empty_like(A)
+    X, cur = (A, np.empty_like(A)), 0  # X[cur] holds the matrix
+    plans = {}  # (s, o) -> _Round
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(_SWEEP_CAP + 1):
-            rel, w = _couplings(A, rot_tol)
-            if not rel > rot_tol or sweep == _SWEEP_CAP:  # converged, NaN, or the cap
+            rel, w = _couplings(X[cur], rot_tol)
+            if math.isnan(rel):
+                a, (p, q) = X[cur], _nan_pair(X[cur])
+                raise NonConvergence(
+                    f"Jacobi coupling of ({p}, {q}) is not finite at sweep {sweep}: a_pp, a_pq, "
+                    f"a_qq = {float(a[p, p])!r}, {float(a[p, q])!r}, {float(a[q, q])!r}")
+            if not rel > rot_tol:
                 break
+            if sweep == _SWEEP_CAP:
+                raise NonConvergence(f"Jacobi sweep cap {_SWEEP_CAP} reached")
             for s in range(1, min(w, n - 1) + 1):
                 for o in (0, s) if 2 * s < n else (0,):  # (s, s) is empty unless 2s < n
-                    if _band_round(A, B, s, o, rot_tol):
-                        A, B = B, A
-    if not rel <= rot_tol:  # NaN included
-        raise NonConvergence(f"Jacobi sweep cap {_SWEEP_CAP} reached")
-    return np.sort(np.diagonal(A)), rel, sweep
+                    if (s, o) not in plans:
+                        plans[s, o] = _plan_round(*X, s, o)
+                    if _band_round(X, cur, plans[s, o], rot_tol):
+                        cur = 1 - cur
+    return np.sort(np.diagonal(X[cur])), rel, sweep
 
 
-def _band_round(A: np.ndarray, B: np.ndarray, s: int, o: int, rot_tol: float) -> bool:
-    """Rotate the pairs (i, i + s), i in the length-s blocks at o, o + 2s, ..., above rot_tol.
+def _nan_pair(A: np.ndarray) -> tuple[int, int]:
+    """The first pair p < q, row by row, whose ratio in _couplings is NaN; A must hold one."""
+    root = np.sqrt(np.abs(np.diagonal(A)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in range(A.shape[0]):
+            r = np.abs(A[p, p + 1 :] / np.maximum(root[p] * root[p + 1 :], np.finfo(float).tiny))
+            nan = np.flatnonzero(np.isnan(r))
+            if len(nan):
+                return p, p + 1 + int(nan[0])
 
-    Returns whether any pair was; B then holds the rotated matrix and A is spent. The pairs
-    are disjoint, their ratios read a_pq, p < q, and those at or below rot_tol get t = 0,
-    which copies their rows. A's rows rotate into B, B^T is copied into A, and A's rows
-    rotate into B again: B = R A^T R^T, symmetric to roundoff where rotated rows and columns
-    cross. Rutishauser updates the diagonal; rotated pairs' a_pq and a_qp become zero.
+
+class _Round(NamedTuple):
+    """The geometry of the round (s, o) over two n x n buffers X[0] and X[1]: views and ints.
+
+    The round's pairs (i, i + s) lie in up to two parts, the whole length-s blocks at o,
+    o + 2s, ... and the partial last block; k pairs lie in the first part present. views holds
+    four views per part: of its pairs' two rows in X[0] and in X[1], then of their 2x2 blocks
+    in X[0] and in X[1]. No pair holds the rows [0, o) and [lo, hi).
     """
-    n = A.shape[0]
+
+    s: int
+    o: int
+    k: int
+    lo: int
+    hi: int
+    views: tuple
+
+
+def _plan_round(X0: np.ndarray, X1: np.ndarray, s: int, o: int) -> _Round:
+    """The _Round (s, o) of the C-contiguous n x n buffers X0 and X1, of one dtype.
+
+    A part (first, count, width) holds the pairs p = first + 2s*i + j, i < count, j < width:
+    its views of X start at entry p*step, step n for the rows and n + 1 for the 2x2 blocks.
+    """
+    n, size = X0.shape[0], X0.itemsize
     blocks, rest = divmod(n - o, 2 * s)
     last, tail = o + 2 * s * blocks, max(0, rest - s)
-    parts = [x for x in ((o, blocks, s), (last, 1, tail)) if x[1] * x[2] > 0]
-    if not parts:
+    views = []
+    for first, count, width in ((o, blocks, s), (last, 1, tail)):
+        if count * width:
+            for step, inner, col in ((n, (2, n), 1), (n + 1, (2, 2), s)):  # rows; 2x2 blocks
+                strides = tuple(size * e for e in (2 * s * step, step, s * n, col))
+                views += [np.ndarray((count, width) + inner, X.dtype, X, size * first * step,
+                                     strides) for X in (X0, X1)]
+    return _Round(s, o, blocks * s or tail, last + tail, min(n, last + s), tuple(views))
+
+
+def _band_round(X: tuple, cur: int, plan: _Round, rot_tol: float) -> bool:
+    """Rotate the pairs of plan, a _Round of the buffers X, whose ratios exceed rot_tol.
+
+    A = X[cur] holds the matrix and B = X[1 - cur]. Returns whether any pair rotated; B then
+    holds the rotated matrix and A is spent. The pairs are disjoint, their ratios read a_pq,
+    p < q, and those at or below rot_tol get t = 0, which copies their rows. A's rows rotate
+    into B, B^T is copied into A, and A's rows rotate into B again: B = R A^T R^T, symmetric
+    to roundoff where rotated rows and columns cross. Rutishauser updates the diagonal;
+    rotated pairs' a_pq and a_qp become zero.
+    """
+    A, B, v = X[cur], X[1 - cur], plan.views
+    src, dst, before, after = v[cur::4], v[1 - cur :: 4], v[2 + cur :: 4], v[3 - cur :: 4]
+    if not before:
         return False
-    pair = (n + 1, (2, 2), (s * n, s))  # each pair's [[a_pp, a_pq], [a_qp, a_qq]]
-    before = _pair_views(A, s, parts, *pair)
-    app, apq, aqp, aqq = np.concatenate([v.reshape(-1, 4) for v in before]).T
+    got = [x.reshape(-1, 4) for x in before]  # each a copy
+    app, apq, aqp, aqq = (got[0] if len(got) == 1 else np.concatenate(got)).T
     big = np.abs(apq) / (np.sqrt(np.abs(app)) * np.sqrt(np.abs(aqq))) > rot_tol
-    if not big.any():
+    rotated = np.count_nonzero(big)
+    if not rotated:
         return False
+    big = big if rotated < len(big) else slice(None)  # most rounds: a slice, copying nothing
     # t = tan of the angle that zeroes a_pq, the root of magnitude <= 1
     diff, twice = aqq[big] - app[big], 2.0 * apq[big]
-    t = np.zeros(len(big))
+    t = np.zeros(len(app))
     t[big] = twice / (diff + np.copysign(np.hypot(diff, twice), diff))
     c = 1.0 / np.hypot(1.0, t)
     rot = np.array((c, -t * c, t * c, c)).T.reshape(-1, 2, 2)
     # each pair's block after the round; an unrotated one is A's transposed, as in R A^T R^T
     new = np.array((app - t * apq, aqp, apq, aqq + t * apq)).T
     new[big, 1:3] = 0.0
-    src, dst = (_pair_views(X, s, parts, n, (2, n), (s * n, 1)) for X in (A, B))
-    copied = [(lo, hi) for lo, hi in ((0, o), (last + tail, min(n, last + s))) if lo < hi]
-    k = parts[0][1] * parts[0][2]  # the pairs of the first part
+    o, k, lo, hi = plan.o, plan.k, plan.lo, plan.hi
+    rots = [r.reshape(x.shape[:2] + (2, 2)) for x, r in zip(src, (rot[:k], rot[k:]))]
     for turn in range(2):
         if turn:
             np.copyto(A, B.T)
-        for x, y, r in zip(src, dst, (rot[:k], rot[k:])):
-            np.matmul(r.reshape(x.shape[:2] + (2, 2)), x, out=y)
-        for lo, hi in copied:  # the rows no pair holds
+        for r, x, y in zip(rots, src, dst):
+            np.matmul(r, x, out=y)
+        if o:  # the rows no pair holds
+            B[:o] = A[:o]
+        if lo < hi:
             B[lo:hi] = A[lo:hi]
-    for v, x in zip(_pair_views(B, s, parts, *pair), (new[:k], new[k:])):
-        v[...] = x.reshape(v.shape)
+    for y, x in zip(after, (new[:k], new[k:])):
+        y[...] = x.reshape(y.shape)
     return True
-
-
-def _pair_views(X: np.ndarray, s: int, parts, step: int, inner=(), inner_strides=()) -> list:
-    """Views of X at p*step, shape (count, width) + inner, for each part of a round: the pairs
-    p = first + 2s*i + j, i < count, j < width. step and inner_strides count entries."""
-    size = X.itemsize
-    strides = tuple(size * k for k in (2 * s * step, step) + inner_strides)
-    return [np.ndarray((count, width) + inner, X.dtype, X, size * first * step, strides)
-            for first, count, width in parts]
 
 
 def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:

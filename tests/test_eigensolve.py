@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -925,6 +926,74 @@ def _fancy_round(A, pq, rot_tol):
     return out
 
 
+def _brute_couplings(A, rot_tol):
+    """_couplings over every pair p < q, one at a time: the largest |a_pq| / max(sqrt|a_pp| *
+    sqrt|a_qq|, tiny) (NaN if one is, 0.0 if there is no pair), and the widest q - p above
+    rot_tol (0 if none)."""
+    n, tiny = len(A), np.finfo(float).tiny
+    root = np.sqrt(np.abs(np.diagonal(A)))
+    rel, band = 0.0, 0
+    for p in range(n):
+        for q in range(p + 1, n):
+            r = abs(A[p, q] / max(root[p] * root[q], tiny))
+            if math.isnan(r) or r > rel:  # a NaN stays
+                rel = r
+            if r > rot_tol:
+                band = max(band, q - p)
+    return rel, band
+
+
+def _reference_jacobi(A):
+    """_jacobi's solve on _fancy_round: the same stop test (_brute_couplings) and the same
+    rounds (s, o), s = 1..w, o = 0 then s, each sweep. Returns (values, rel, sweeps)."""
+    n = len(A)
+    rot_tol = max(1e-15, 4 * n * np.finfo(float).eps)
+    for sweep in range(eigensolve._SWEEP_CAP + 1):
+        rel, w = _brute_couplings(A, rot_tol)
+        if not rel > rot_tol:
+            break
+        for s in range(1, min(w, n - 1) + 1):
+            for o in (0, s) if 2 * s < n else (0,):
+                out = _fancy_round(A, _round_pairs(n, s, o), rot_tol)
+                if out is not None:
+                    A = out
+    return np.sort(np.diagonal(A)), rel, sweep
+
+
+def _green_input(params, N):
+    """The matrix L^T S L that solve_green hands to _jacobi at (params, N)."""
+    w = ss.weight_truncation(ss.make_params(*params), N)
+    G = ss.green_kernel_matrix(w) / w.masses
+    seen = []
+    jacobi = eigensolve._jacobi
+
+    def spy(A):
+        seen.append(A.copy())
+        return jacobi(A)
+
+    eigensolve._jacobi = spy
+    try:
+        ss.solve_green(G, w.masses)
+    finally:
+        eigensolve._jacobi = jacobi
+    return seen[0]
+
+
+def _graded_symmetric(rng, n):
+    """A random matrix symmetric to roundoff, its rows scaled over e^+-5, some couplings just
+    above and some just below rot_tol."""
+    rot_tol = max(1e-15, 4 * n * np.finfo(float).eps)
+    X = rng.standard_normal((n, n)) * np.exp(rng.uniform(-5.0, 5.0, n))
+    A = X + X.T
+    A[np.tril_indices(n, -1)] *= 1.0 + rng.integers(-2, 3, n * (n - 1) // 2) * 2.0**-52
+    root = np.sqrt(np.abs(np.diagonal(A)))
+    p, q = np.triu_indices(n, 1)
+    near = rng.random(len(p)) < 0.2
+    f = rng.choice([0.5, 0.999, 1.001, 2.0], len(p))
+    A[p[near], q[near]] = (f * rot_tol * root[p] * root[q])[near]
+    return A
+
+
 class TestDenseJacobi:
     def test_two_by_two(self):
         vals, _, _ = _jacobi(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -941,8 +1010,24 @@ class TestDenseJacobi:
         np.testing.assert_allclose(got, want, atol=1e-12 * np.abs(want).max())
 
     def test_nan_entry_never_converges(self):
-        with pytest.raises(ss.NonConvergence):
+        """A NaN ratio stops the solve at the first stop test, which names it."""
+        with pytest.raises(ss.NonConvergence,
+                           match=r"coupling of \(0, 1\) is not finite at sweep 0: .*nan"):
             _jacobi(np.array([[1.0, np.nan], [np.nan, 2.0]]))
+
+    def test_infinite_entry_is_named_a_sweep_later(self):
+        """An infinite a_pq rotates once (its ratio is inf) into NaN, and the next stop test
+        names it."""
+        with pytest.raises(ss.NonConvergence, match=r"\(0, 1\) is not finite at sweep 1"):
+            _jacobi(np.array([[1.0, np.inf], [np.inf, 2.0]]))
+
+    def test_sweep_cap_is_named(self, monkeypatch):
+        """A solve that needs more sweeps than the cap names the cap."""
+        monkeypatch.setattr(eigensolve, "_SWEEP_CAP", 1)
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((8, 8))
+        with pytest.raises(ss.NonConvergence, match=r"^Jacobi sweep cap 1 reached$"):
+            _jacobi(X + X.T)
 
     def test_green_result_states_method_bound_and_dropped(self):
         """solve_green reports Jacobi's final relative off-diagonal and
@@ -960,7 +1045,8 @@ class TestDenseJacobi:
         """LAPACK's Cholesky passes a NaN through; Jacobi then refuses it."""
         G = ss.green_kernel_matrix(ss.weight_truncation(P, 4))
         G[1, 2] = G[2, 1] = np.nan
-        with pytest.raises(ss.NumericalError):
+        with pytest.raises(ss.NumericalError, match=r"Jacobi coupling of \(\d+, \d+\) is not finite at "
+                                                      r"sweep 0"):
             ss.solve_green(G, np.ones(4))
 
     def test_green_indefinite_rejected(self):
@@ -982,7 +1068,7 @@ class TestDenseJacobi:
         1 <= q - p <= w once."""
         rounds = []
         monkeypatch.setattr(
-            eigensolve, "_band_round", lambda A, B, s, o, tol: rounds.append((s, o))
+            eigensolve, "_band_round", lambda X, cur, plan, tol: rounds.append((plan.s, plan.o))
         )
         for w in range(1, n):
             A = np.diag(np.arange(1.0, n + 1.0))
@@ -1004,8 +1090,8 @@ class TestDenseJacobi:
     def test_view_round_equals_the_fancy_index_round(self, n):
         """Every round (s, o) of a random matrix symmetric to roundoff, some of
         its pairs below rot_tol, partial blocks and s > n/2 included: the
-        strided-view round gives exactly the fancy-index round's matrix, and
-        leaves A as it was when no pair is above rot_tol."""
+        planned strided-view round gives exactly the fancy-index round's matrix,
+        and leaves A as it was when no pair is above rot_tol."""
         rng = np.random.default_rng(n)
         rot_tol = max(1e-15, 4 * n * np.finfo(float).eps)
         for s in range(1, n):
@@ -1019,7 +1105,8 @@ class TestDenseJacobi:
                 tiny = 0.5 * rot_tol * np.sqrt(np.abs(A[p, p])) * np.sqrt(np.abs(A[q, q]))
                 A[p[low], q[low]] = A[q[low], p[low]] = tiny[low]
                 want, got, out = _fancy_round(A, pq, rot_tol), A.copy(), np.empty_like(A)
-                if eigensolve._band_round(got, out, s, o, rot_tol):
+                plan = eigensolve._plan_round(got, out, s, o)
+                if eigensolve._band_round((got, out), 0, plan, rot_tol):
                     np.testing.assert_array_equal(out, want)
                 else:
                     assert want is None
@@ -1043,9 +1130,9 @@ class TestDenseJacobi:
 
     def test_green_peak_memory_is_within_its_budget(self):
         """Under tracemalloc a Green solve at N = 300, its input buffer G included, holds at
-        most _DENSE_BYTES per entry at once: no n x n transient beyond three arrays and no
-        cache in the Jacobi rounds. (LAPACK's working copy in the Cholesky is not traced;
-        the budget counts it beside G and L.)"""
+        most _DENSE_BYTES per entry at once: no n x n transient beyond three arrays, and the
+        table of planned Jacobi rounds holds views and ints, no array data. (LAPACK's working
+        copy in the Cholesky is not traced; the budget counts it beside G and L.)"""
         N = 300
         w = ss.weight_truncation(P, N)
         G = ss.green_kernel_matrix(w) / w.masses
@@ -1063,14 +1150,76 @@ class TestDenseJacobi:
         calls = []
         band_round = eigensolve._band_round
 
-        def spy(A, B, s, o, rot_tol):
-            calls.append((s, o))
-            return band_round(A, B, s, o, rot_tol)
+        def spy(X, cur, plan, rot_tol):
+            calls.append((plan.s, plan.o))
+            return band_round(X, cur, plan, rot_tol)
 
         monkeypatch.setattr(eigensolve, "_band_round", spy)
         w = ss.weight_truncation(P, 300)
         ss.solve_green(ss.green_kernel_matrix(w) / w.masses, w.masses)
         assert len(calls) <= 200
+
+    @pytest.mark.parametrize("case", ["(0.9, -1) N=60", "(0.5, -0.5) N=37", "graded n=37",
+                                      "a_pq above", "a_qp above"])
+    def test_solve_equals_the_fancy_index_solve(self, case):
+        """The planned rounds change no bit of a solve: values, the ratio left and the
+        sweeps equal a reference loop of fancy-index rounds with the same stop test and
+        rounds, where the band w passes n/2 (the (0.9, -1) Green matrix, negative masses),
+        with partial blocks (odd n), with couplings near rot_tol, and where a pair
+        straddles it at roundoff."""
+        if case.startswith("("):
+            params = (0.9, -1.0, 0.0, 1.0) if case.startswith("(0.9") else (0.5, -0.5, 0.0, 1.0)
+            A = _green_input(params, int(case.split("=")[1]))
+        elif case.startswith("graded"):
+            A = _graded_symmetric(np.random.default_rng(37), 37)
+        else:
+            rot_tol = max(1e-15, 8 * np.finfo(float).eps)
+            up = np.nextafter(rot_tol, 1.0)
+            A = np.eye(2)
+            A[0, 1], A[1, 0] = (up, rot_tol) if case == "a_pq above" else (rot_tol, up)
+        want_vals, want_rel, want_sweeps = _reference_jacobi(A.copy())
+        vals, rel, sweeps = _jacobi(A.copy())
+        assert vals.tobytes() == want_vals.tobytes()
+        assert (rel, sweeps) == (want_rel, want_sweeps)
+        if case.startswith("(0.9"):
+            assert _brute_couplings(A, max(1e-15, 4 * 60 * np.finfo(float).eps))[1] > 30
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 70])
+    def test_couplings_equal_a_scan_of_every_pair(self, n):
+        """The stop test's ratio and band, taken a row block at a time, equal a scan of
+        every pair p < q: on graded matrices with couplings near rot_tol, with a NaN entry,
+        and with no coupling above rot_tol."""
+        rng = np.random.default_rng(n)
+        rot_tol = max(1e-15, 4 * n * np.finfo(float).eps)
+        A = _graded_symmetric(rng, n)
+        nan = A.copy()
+        nan[n // 2, n - 1] = np.nan
+        quiet = np.diag(np.exp(rng.uniform(-5.0, 5.0, n)))
+        if n > 1:
+            quiet[0, n - 1] = 0.5 * rot_tol * np.sqrt(quiet[0, 0] * quiet[n - 1, n - 1])
+        for M in (A, nan, quiet):
+            rel, w = eigensolve._couplings(M, rot_tol)
+            want_rel, want_w = _brute_couplings(M, rot_tol)
+            assert w == want_w
+            assert np.float64(rel).tobytes() == np.float64(want_rel).tobytes()
+        assert eigensolve._couplings(quiet, rot_tol)[1] == 0
+
+    def test_round_table_holds_views_only_and_dies_with_the_solve(self, monkeypatch):
+        """Every planned view is a view of one of the two buffers, owning no data, and none
+        outlives _jacobi."""
+        plan_round = eigensolve._plan_round
+        refs = []
+
+        def spy(X0, X1, s, o):
+            plan = plan_round(X0, X1, s, o)
+            for v in plan.views:
+                assert not v.flags.owndata and (v.base is X0 or v.base is X1)
+            refs.extend(weakref.ref(v) for v in plan.views)
+            return plan
+
+        monkeypatch.setattr(eigensolve, "_plan_round", spy)
+        _jacobi(_green_input((0.9, -1.0, 0.0, 1.0), 40))
+        assert refs and all(r() is None for r in refs)
 
 
 class TestInverseIteration:
