@@ -16,7 +16,7 @@ here therefore works with relative thresholds:
   candidates, then one at the grid points inside the brackets still
   open), then cut by one rule, at the change of count nearest a chosen
   probe, until their ends are adjacent doubles, many probes per
-  vectorised count (taken a block of rows at a time): equal parts
+  vectorised count: equal parts
   (multisection) and, once most brackets hold one eigenvalue each, a fan
   of probes around Rayleigh-quotient estimates, which Newton steps on the
   twist element gamma_r of the twisted factorization take to roundoff in
@@ -25,10 +25,15 @@ here therefore works with relative thresholds:
   eigenvalues near 2.2e-308 keep their digits. Given a guess (order
   continuation's candidates, see spectral), the seed count closes every
   bracket the candidates certify, and only the rest take the grid;
+* one pivot kernel, _pivot_blocks, for every count and every twist: it
+  runs the LDL^T recurrence a block of rows at a time, with one clamp
+  rule, and writes each block into the rows its caller reads, a ring of
+  two blocks for a count and the whole buffer for a twist;
 * twisted LDL^T factorizations, O(N) each, one helper for those steps
   and for the pencil eigenvectors: one pass runs both factorizations side
-  by side into one buffer, which the Rayleigh steps turn into their sums
-  in place, and the eigenvectors into their components;
+  by side over one frame layout (_frames) into one buffer, which the
+  Rayleigh steps turn into their sums in place, and the eigenvectors into
+  their components;
 * the Green-kernel route, which shares no code with the core: the
   weighted Green matrix W G W = L L^T by LAPACK's Cholesky, then
   L^T sign(M) L by Jacobi, whose eigenvalues are the reciprocals. Each
@@ -84,11 +89,12 @@ _EPS = np.finfo(float).eps
 # steps until a step is below _RQ_STOP relative, it leaves its bracket, or _RQ_CAP; the fan
 # probes x and x*(1 + _FAN); a sweep's twists take at most _TWIST_BUDGET bytes at once.
 # A twist holds _TWIST_BYTES per (row, shift) at once: one float64 buffer of shape
-# (n + 1, 2, shifts), its pivots and then, in place, _zmz's sums, 16 in all, and the O(n)
-# state and the row blocks beside it, under 2 more where the budget binds (n from ~1400;
-# 17.3 measured at n = 2000 with 2000 shifts). The budget keeps the buffer under glibc's
-# 32 MiB ceiling for its mmap threshold, so the heap serves each twist's buffer again; a
-# larger one is mapped afresh and its pages faulted in on every twist.
+# (n + 1, 2, shifts), which _pivot_blocks writes its pivots into and _zmz turns into its
+# sums in place, 16 in all, and beside it the O(n) state and _twist_index's per-block minima
+# and one block's gamma and ratios, under 2 more where the budget binds (n from ~1400; 17.45
+# measured by tracemalloc at n = 2000 with 2000 shifts). The budget keeps the buffer under
+# glibc's 32 MiB ceiling for its mmap threshold, so the heap serves each twist's buffer
+# again; a larger one is mapped afresh and its pages faulted in on every twist.
 _RQ_NARROW = 1.0 / 8.0
 _RQ_SHARE = 0.9
 _RQ_STOP = 1e-8
@@ -156,65 +162,64 @@ class EigenvalueList:
     levels: int = 1
 
 
+def _clamped(piv):
+    """piv with each entry below _PIVMIN in magnitude moved to +-_PIVMIN, keeping its sign."""
+    small = np.abs(piv) < _PIVMIN
+    return np.where(small, np.where(piv < 0.0, -_PIVMIN, _PIVMIN), piv) if small.any() else piv
+
+
 def _pivots(diag, off, mass, xs, prev=None):
     """LDL^T pivots of T - x*diag(mass), row by row, one entry per shift x.
 
     The update (d_i - x*m_i) - off*(off/piv) squares no entry, so it stays
     in range wherever T does; pivots below _PIVMIN in magnitude are moved
-    to +-_PIVMIN, keeping their sign, before they divide. With prev, the
-    pivots of the row before diag[0], the factorization continues from
-    there, and off[0] is the entry coupling that row to diag[0].
+    to +-_PIVMIN, keeping their sign, before they divide (_clamped). With
+    prev, the pivots of the row before diag[0], the factorization continues
+    from there, and off[0] is the entry coupling that row to diag[0].
     """
     if prev is None:
         prev, off = np.inf, np.concatenate(([0.0], off))  # d_0 - x*m_0 - 0, unchanged
     for i in range(len(diag)):
-        piv = (diag[i] - xs * mass[i]) - off[i] * (off[i] / prev)
-        small = np.abs(piv) < _PIVMIN
-        if small.any():
-            piv = np.where(small, np.where(piv < 0.0, -_PIVMIN, _PIVMIN), piv)
+        piv = _clamped((diag[i] - xs * mass[i]) - off[i] * (off[i] / prev))
         yield piv
         prev = piv
 
 
-def _pivot_blocks(diag, off, mass, xs):
-    """The pivots of _pivots, bit for bit, _BLOCK rows at a time: yields (rows slice, pivots).
+def _pivot_blocks(diag, off, mass, xs, out):
+    """The pivots of _pivots, bit for bit, _BLOCK rows at a time, written into out: yields each
+    block's rows of out.
 
-    d - x*m for a block is one outer product, then three in-place operations
-    per row with no clamp. A block holding a pivot below _PIVMIN or a NaN is
-    redone by _pivots, so every pivot is the clamped recurrence's. The last
-    row is left out of that check, since no row divides by its pivot, and is
-    clamped in place: a probe at an eigenvalue of the rounded recurrence, as
-    order continuation's candidates are, makes that pivot exactly zero, and
-    the check would send its whole block to _pivots. Several factorizations
-    can run side by side: diag and mass of shape (n, c) and off of shape
-    (n - 1, c, 1) give pivots of shape (c, len(xs)) per row (_twist runs the
-    forward and the backward one so, and copies every block into its
-    buffer). The blocks alternate between two buffers allocated once, so a
-    count allocates no array per block, and a yielded block is overwritten
-    two blocks on. The caller sets np.errstate and must not write to the
-    yielded pivots.
+    The block from row b takes the rows of out from b % len(out) on: out holds all n rows
+    (_twist's buffer) or a ring of len(out) = min(2*_BLOCK, n) rows, in which the previous
+    block's rows stay intact while the next is formed (_counts_below). d - x*m for a block is
+    one outer product, then three in-place operations per row with no clamp. A block holding a
+    pivot below _PIVMIN or a NaN takes one clamp rule: where that is in its last row only, the
+    pivot is clamped in place (_clamped), since no row of the block divides by it; otherwise the
+    block is redone by _pivots. Either way every pivot is the clamped recurrence's. A probe at
+    an eigenvalue of the rounded recurrence, as order continuation's candidates are, makes the
+    last pivot exactly zero, and only that row is touched. Several factorizations can run side
+    by side: diag and mass of shape (n, c), off of shape (n - 1, c, 1) and out of shape
+    (rows, c, len(xs)) give pivots of shape (c, len(xs)) per row (_twist runs the forward and
+    the backward one so). The caller sets np.errstate.
     """
     diag, mass = diag[..., None], mass[..., None]
     off = np.concatenate((np.zeros((1,) + off.shape[1:]), off))  # row i to row i - 1
-    piv, tmp = np.inf, np.empty(diag.shape[1:-1] + xs.shape)
-    bufs = np.empty((2, min(_BLOCK, len(diag))) + tmp.shape)  # a block's, and the one before
+    piv, tmp = np.inf, np.empty(out.shape[1:])
     for b in range(0, len(diag), _BLOCK):
-        sl, prev, last = slice(b, b + _BLOCK), piv, b + _BLOCK >= len(diag)
-        rows = bufs[(b // _BLOCK) % 2, : len(diag[sl])]
+        sl, prev = slice(b, b + _BLOCK), piv
+        rows = out[b % len(out) :][: len(diag[sl])]
         np.subtract(diag[sl], np.multiply(mass[sl], xs, out=rows), out=rows)
         for e, row in zip(off[sl], rows):
             np.divide(e, piv, out=tmp)
             tmp *= e
             row -= tmp
             piv = row
-        if not (np.abs(rows[:-1] if last else rows) >= _PIVMIN).all():  # a tiny pivot or a NaN
-            rows = np.array(list(_pivots(diag[sl], off[sl], mass[sl], xs, prev)))
-            piv = rows[-1]
-        elif last:
-            small = np.abs(piv) < _PIVMIN
-            if small.any():
-                piv[...] = np.where(small, np.where(piv < 0.0, -_PIVMIN, _PIVMIN), piv)
-        yield sl, rows
+        if not (np.abs(rows) >= _PIVMIN).all():  # a tiny pivot or a NaN
+            if (np.abs(rows[:-1]) >= _PIVMIN).all():
+                piv[...] = _clamped(piv)
+            else:
+                rows[...] = list(_pivots(diag[sl], off[sl], mass[sl], xs, prev))
+        yield rows
 
 
 def _counts_below(diag, off, mass, probes) -> np.ndarray:
@@ -226,17 +231,25 @@ def _counts_below(diag, off, mass, probes) -> np.ndarray:
     eigenvalues between 0 and x, the n_neg negative masses give n_neg
     negative eigenvalues, and the count below x is n_neg + nu(x) for x > 0
     and n_neg - nu(x) for x < 0. An overflowed x*m_i keeps its sign, which
-    is all a count needs. The pivots come from _pivot_blocks.
+    is all a count needs. The pivots come from _pivot_blocks, into a ring of
+    two blocks' rows.
     """
     xs = np.asarray(probes, dtype=float)
     nu = np.zeros(xs.shape, dtype=np.int64)
+    ring = np.empty((min(2 * _BLOCK, len(diag)),) + xs.shape)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _, rows in _pivot_blocks(diag, off, mass, xs):
+        for rows in _pivot_blocks(diag, off, mass, xs, ring):
             nu += np.count_nonzero(rows < 0.0, axis=0)
     n_neg = int(np.sum(mass < 0.0))
     if n_neg == 0:
         return nu
     return np.where(xs < 0.0, n_neg - nu, n_neg + nu)
+
+
+def _frames(v):
+    """v in the forward and the backward frame of a twist, shape (len(v), 2): row j holds
+    v_j and v_(len(v)-1-j)."""
+    return np.stack((v, v[::-1]), axis=1)
 
 
 def _twist(diag, off, mass, xs):
@@ -246,27 +259,24 @@ def _twist(diag, off, mass, xs):
     row and from the last) meet at the twist index r where gamma_r = D+_r +
     D-_r - (T - x*diag(mass))_rr is smallest relative to m_r, the twist of
     the mass-scaled problem: on a graded pencil the roundoff of gamma's large
-    rows exceeds its true minimum (_twist_index). The z with z_r = 1 that the
-    two bidiagonal factors carry outward solves (T - x*diag(mass)) z =
-    gamma_r e_r, so its Rayleigh quotient is x + gamma_r / (z^T diag(mass) z)
-    (_zmz sums that from the pivots).
+    rows exceeds its true minimum (_twist_index, which gives r and gamma_r).
+    The z with z_r = 1 that the two bidiagonal factors carry outward solves
+    (T - x*diag(mass)) z = gamma_r e_r, so its Rayleigh quotient is x +
+    gamma_r / (z^T diag(mass) z) (_zmz sums that from the pivots).
 
-    One pass runs both factorizations side by side, step s taking row s
-    forward and row n-1-s backward, and keeps every step in one float64
-    buffer of shape (n + 1, 2, len(xs)): the pivots of step s in row s + 1,
-    row 0 left for _zmz. Returns (r, gamma_r, buffer); D+ = buffer[1:, 0] and
-    D- = buffer[:0:-1, 1], of shape (n, len(xs)).
+    One pass runs both factorizations side by side over the _frames, step s
+    taking row s forward and row n-1-s backward, and _pivot_blocks writes
+    every step straight into one float64 buffer of shape (n + 1, 2, len(xs)):
+    the pivots of step s in row s + 1, row 0 left for _zmz. Returns (r,
+    gamma_r, buffer); D+ = buffer[1:, 0] and D- = buffer[:0:-1, 1], of shape
+    (n, len(xs)).
     """
-    cols = np.arange(len(xs))
-    d_2, e_2, m_2 = (np.stack((v, v[::-1]), axis=1) for v in (diag, off, mass))
+    d_2, e_2, m_2 = (_frames(v) for v in (diag, off, mass))
     buf = np.empty((len(diag) + 1, 2, len(xs)))
-    piv = buf[1:]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for sl, rows in _pivot_blocks(d_2, e_2[..., None], m_2, xs):
-            piv[sl] = rows
-        fwd, bwd = piv[:, 0], piv[::-1, 1]
-        r = _twist_index(fwd, bwd, diag, mass, xs)
-        gamma = fwd[r, cols] + bwd[r, cols] - (diag[r] - mass[r] * xs)
+        for _ in _pivot_blocks(d_2, e_2[..., None], m_2, xs, buf[1:]):
+            pass
+        r, gamma = _twist_index(buf[1:, 0], buf[:0:-1, 1], diag, mass, xs)
     return r, gamma, buf
 
 
@@ -284,9 +294,9 @@ def _zmz(buf, r, off, mass):
     """
     n, cols = len(mass), np.arange(buf.shape[2])
     e = max(0, math.frexp(float(np.max(np.abs(mass))))[1])
-    m_s = np.ldexp(np.stack((mass, mass[::-1]), axis=1), -e)[..., None]
+    m_s = np.ldexp(_frames(mass), -e)[..., None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sq = np.divide(np.stack((off, off[::-1]), axis=1)[..., None], buf[1:n], out=buf[1:n])
+        sq = np.divide(_frames(off)[..., None], buf[1:n], out=buf[1:n])
         sq *= sq
         buf[0] = m_s[0]
         for i in range(1, n):
@@ -296,22 +306,25 @@ def _zmz(buf, r, off, mass):
 
 
 def _twist_index(fwd, bwd, diag, mass, xs):
-    """The row of least |gamma_i| / |m_i|, gamma = fwd + bwd - (diag - x*mass), per shift x.
+    """(r, gamma_r) per shift x: the row of least |gamma_i| / |m_i|, gamma = fwd + bwd - (diag -
+    x*mass), and gamma there.
 
     np.argmin within each block of _BLOCK rows, then over the blocks' minima, which is
-    np.argmin's rule over all rows (ties and NaN go to the lowest) by construction. No
-    n x len(xs) array is formed beside the pivots. The caller sets np.errstate.
+    np.argmin's rule over all rows (ties and NaN go to the lowest) by construction; gamma_r
+    is kept from the block that chose r. No n x len(xs) array is formed beside the pivots.
+    The caller sets np.errstate.
     """
     cols = np.arange(len(xs))
     least = np.empty((-(-len(diag) // _BLOCK), len(xs)))
-    row = np.empty(least.shape, dtype=np.intp)
+    row, gamma = np.empty(least.shape, dtype=np.intp), np.empty(least.shape)
     for i, b in enumerate(range(0, len(diag), _BLOCK)):
         sl = slice(b, b + _BLOCK)
         g = fwd[sl] + bwd[sl] - (diag[sl, None] - mass[sl, None] * xs)
         ratio = np.abs(g) / np.abs(mass[sl])[:, None]
         j = np.argmin(ratio, axis=0)
-        least[i], row[i] = ratio[j, cols], b + j
-    return row[np.argmin(least, axis=0), cols]
+        least[i], row[i], gamma[i] = ratio[j, cols], b + j, g[j, cols]
+    k = np.argmin(least, axis=0)
+    return row[k, cols], gamma[k, cols]
 
 
 def sturm_count(T: TridiagonalSymmetric, x: float) -> int:
@@ -792,7 +805,7 @@ def _twisted_vectors(p: PencilProblem, lam: np.ndarray) -> np.ndarray:
     e, n, cols = p.K.offdiag, p.order, np.arange(len(lam))
     r, _, buf = _twist(p.K.diag, e, p.M, lam)
     x, t = buf[1:], np.stack((r, n - 1 - r))  # the twist row in each frame
-    ne_2 = -np.stack((e, e[::-1]), axis=1)[..., None]  # -e, row j to row j + 1, in each frame
+    ne_2 = -_frames(e)[..., None]  # -e, row j to row j + 1, in each frame
     x[n - 1] = t == n - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n - 2, -1, -1):

@@ -199,7 +199,8 @@ def stiffness_matrix(weight: DiscreteWeight) -> TridiagonalSymmetric:
     interval 1 - x_N = a^N closing the domain so y(1) = 0 holds exactly.
     """
     h = _intervals(weight)
-    inv = 1.0 / h
+    with np.errstate(over="ignore"):  # checked next
+        inv = 1.0 / h
     if not np.all(np.isfinite(inv)):
         raise RangeOverflow(f"1/h overflows at order {weight.order}")
     diag = inv[:-1] + inv[1:]

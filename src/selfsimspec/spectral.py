@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyWindow, OutOfRange, WrongSign
+from .errors import EmptyWindow, OutOfRange, RangeOverflow, WrongSign
 from .eigensolve import (
     _DENSE_BYTES,
     EigenvalueList,
@@ -313,7 +313,8 @@ def estimate_c(spec: SpectrumResult, window: tuple[int, int] | None = None) -> A
     Single-signed spectra only; an alternating spectrum follows the
     two-branch law instead (see indefinite_report). c_estimate is the
     geometric mean of lambda_k / q^k over the window and carries the
-    common sign of the spectrum.
+    common sign of the spectrum. A c_k that is 0 or not finite (lambda_k /
+    q^k beyond double range) raises RangeOverflow naming the first such k.
     """
     if spec.params.d < 0:
         raise WrongSign("alternating spectrum: use indefinite_report for d < 0")
@@ -323,7 +324,12 @@ def estimate_c(spec: SpectrumResult, window: tuple[int, int] | None = None) -> A
     if np.any(vw == 0.0) or (np.any(vw > 0.0) and np.any(vw < 0.0)):
         raise WrongSign("window mixes signs or contains zero; no single geometric law fits")
     q = spec.params.q
-    per = vw / q ** np.arange(k1, k2 + 1, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):  # checked next, before any log
+        per = vw / q ** np.arange(k1, k2 + 1, dtype=float)
+    bad = np.flatnonzero((per == 0.0) | ~np.isfinite(per))
+    if len(bad):
+        raise RangeOverflow(f"c_k = lambda_k / q^k = {float(per[bad[0]])!r} at k = "
+                            f"{k1 + int(bad[0])} is out of double range")
     sign = 1.0 if per[0] > 0.0 else -1.0
     c = sign * math.exp(float(np.mean(np.log(np.abs(per)))))
     disp = float(np.max(np.abs(per - c) / abs(c)))

@@ -104,6 +104,7 @@ class TestExitCodes:
             (("matrix", "--kind", "sym", "--n", "0"), "order must be >= 1"),
             (("asymptotics", "--n", "10", "--window", "50:60"), "empty window"),
             (("asymptotics", "--n", "10", "--window", "5"), "window"),
+            (("asymptotics", "--n", "10", "--window", "1:x"), "with integer bounds"),
             (("spectrum", "--n", "2", "--count", "5"), "count"),
             # verify runs one fixed suite and has no --formulation flag
             (
@@ -223,6 +224,14 @@ class TestExitCodes:
         code, out, err = run_cli("weight", "--a", a, "--d", d, "--n", "1")
         assert (code, out) == (2, "")
         assert "q = 1/(a*d) overflows" in err
+
+    def test_unrepresentable_c_k_is_three(self):
+        """lambda_k / q^k ~ 1.2e-339 underflows at d = 3e-39: asymptotics printed c_k = 0.0,
+        "c_estimate": -0.0 and "max_rel_dispersion": NaN, which is not JSON, and exited 0."""
+        code, out, err = run_cli("asymptotics", "--a", "0.5", "--d", "3e-39", "--beta2", "5e300",
+                                 "--n", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("RangeOverflow: c_k = lambda_k / q^k = 0.0 at k = 1 ")
 
     def test_verify_at_max_order_zero_is_three(self):
         """q = 3.3e300 leaves no order inside the range guard: verify says so as spectrum

@@ -119,10 +119,52 @@ class TestBlockedCount:
         xs = np.array([3.0, 0.0])
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             want = np.array(list(eigensolve._pivots(diag, off, mass, xs)))
-            got = np.concatenate([rows.copy() for _, rows in
-                                  eigensolve._pivot_blocks(diag, off, mass, xs)])
+            got = np.concatenate([rows.copy() for rows in
+                                  eigensolve._pivot_blocks(diag, off, mass, xs, np.empty((n, 2)))])
         np.testing.assert_array_equal(got, want)
         assert abs(want[-1]).min() == eigensolve._PIVMIN
+
+    @pytest.mark.parametrize("n", [5, 32, 64, 70, 130])
+    def test_blocks_are_rows_of_out(self, n):
+        """The block from row b is written into out from row b % len(out) on and yielded as
+        those rows, for out of n rows (as _twist passes it) and for a ring of two blocks' rows
+        (as _counts_below does): no other pivot buffer is formed."""
+        rng = np.random.default_rng(n)
+        diag, off, mass = rng.standard_normal(n), rng.standard_normal(n - 1), np.ones(n)
+        xs, b = np.array([-0.5, 0.0, 0.5]), eigensolve._BLOCK
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            want = np.array(list(eigensolve._pivots(diag, off, mass, xs)))
+            for out in (np.empty((n, 3)), np.empty((min(2 * b, n), 3))):
+                blocks = eigensolve._pivot_blocks(diag, off, mass, xs, out)
+                for start, rows in zip(range(0, n, b), blocks):
+                    assert np.shares_memory(rows, out)
+                    assert rows.ctypes.data == out[start % len(out)].ctypes.data
+                    np.testing.assert_array_equal(rows, want[start : start + b])
+                assert start + len(rows) == n
+
+    @pytest.mark.parametrize("zero, redone", [((31, 63), 0), ((31, 40, 63), 1)])
+    def test_one_clamp_rule(self, monkeypatch, zero, redone):
+        """Zero pivots in the last rows of blocks (31 and 63 of n = 70, decoupled from the row
+        before and equal to the probe 3) are clamped in place with no call to _pivots, bit
+        for bit as _pivots clamps them; one before a block's last row (40) sends its block,
+        and that block only, to _pivots. Counts through the ring match the careful ones."""
+        n, xs = 70, np.array([3.0, 0.0])
+        rng = np.random.default_rng(n)
+        diag, off, mass = rng.uniform(5.0, 6.0, n), rng.uniform(-0.5, 0.5, n - 1), np.ones(n)
+        diag[list(zero)], off[[z - 1 for z in zero]] = 3.0, 0.0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            want = np.array(list(eigensolve._pivots(diag, off, mass, xs)))
+            counts = _careful_counts(diag, off, mass, xs)
+            calls, pivots = [], eigensolve._pivots
+            monkeypatch.setattr(eigensolve, "_pivots", lambda *a: calls.append(a) or pivots(*a))
+            out = np.empty((n, 2))
+            for _ in eigensolve._pivot_blocks(diag, off, mass, xs, out):
+                pass
+        assert len(calls) == redone
+        np.testing.assert_array_equal(out, want)
+        assert (want[list(zero), 0] == eigensolve._PIVMIN).all()
+        np.testing.assert_array_equal(eigensolve._counts_below(diag, off, mass, xs), counts)
+        assert len(calls) == 2 * redone
 
     def test_subnormal_pivot(self):
         """Row 2's pivot 1e-310 clamps to 1e-300, so row 3 reads 3 - 1 > 0;
@@ -316,6 +358,16 @@ class TestSolvePencil:
         lam = ss.solve_pencil(ss.PencilProblem(K, [1.0, -0.5], 2)).values
         want = [-5.0 - math.sqrt(89.0), -5.0 + math.sqrt(89.0)]
         np.testing.assert_allclose(lam, want, rtol=1e-13)
+
+    def test_dimensions_must_agree(self):
+        with pytest.raises(ss.OutOfRange, match="pencil dimensions disagree"):
+            ss.PencilProblem(_tridiag([1.0, 2.0], [0.5]), np.ones(3), 2)
+
+    def test_bisection_cap_is_a_numerical_error(self, monkeypatch):
+        """A bracket still open after _BISECT_CAP counts raises NonConvergence naming the cap."""
+        monkeypatch.setattr(eigensolve, "_BISECT_CAP", 1)
+        with pytest.raises(ss.NonConvergence, match=r"^bisection cap 1 reached$"):
+            ss.solve_pencil(_route_pencil(P, 20, "fem"))
 
     def test_zero_mass_rejected(self):
         K = _tridiag([6.0, 8.0], [-4.0])
@@ -1048,6 +1100,14 @@ class TestDenseJacobi:
         with pytest.raises(ss.NumericalError, match=r"Jacobi coupling of \(\d+, \d+\) is not finite at "
                                                       r"sweep 0"):
             ss.solve_green(G, np.ones(4))
+
+    def test_green_all_reciprocals_below_the_guard(self):
+        """Every mass of order 63 is below 7.6e-294 (r = 7.8e-296) and the Green kernel below
+        1/4 on the diagonal, so every mu, at most the trace of G M, is below _MU_GUARD."""
+        p = ss.make_params(0.9896827233007265, 0.5, -1.5121488115000766e-293, 0.0)
+        with pytest.raises(ss.ZeroEigenvalue, match="all reciprocal eigenvalues below the "
+                                                    "underflow guard"):
+            ss.compute_spectrum(p, 63, "green-kernel")
 
     def test_green_indefinite_rejected(self):
         with pytest.raises(ss.NotPositiveDefinite):

@@ -123,6 +123,13 @@ class TestWeightMatrices:
         K = ss.stiffness_matrix(ss.weight_truncation(P, 1))
         np.testing.assert_array_equal(K.dense(), [[4.0]])
 
+    def test_stiffness_overflow_raises_without_warning(self):
+        """The weight of order 1070 is allowed beyond max_order (481); its last gap 8e-323
+        has no finite reciprocal. "overflow encountered in divide" came before the error."""
+        w = ss.weight_truncation(P, 1070)
+        with pytest.raises(ss.RangeOverflow, match="1/h overflows at order 1070"):
+            ss.stiffness_matrix(w)
+
     def test_mass_is_the_masses(self):
         np.testing.assert_array_equal(ss.mass_matrix(ss.weight_truncation(P, 3)), [1.0, 0.5, 0.25])
 
@@ -201,6 +208,13 @@ class TestSymmetryDefect:
     def test_basis_pair_cancels_exactly(self):
         # the e1/e2 pair probes a single edge: w2*(-d*q) against w1*(-q)
         assert ss.symmetry_defect(P, [1.0], [0.0, 1.0], 10) == 0.0
+
+    def test_overflowing_edge_terms_rejected(self):
+        """(1/d)^k overflows below order 200 at d = 0.1, within max_order 222."""
+        p = ss.make_params(0.5, 0.1, 0.0, 1.0)
+        assert p.max_order == 222
+        with pytest.raises(ss.RangeOverflow, match=r"\(q/d\)\^k overflow below order 200"):
+            ss.symmetry_defect(p, [1.0], [0.0, 1.0], 200)
 
     def test_vectors_longer_than_the_order_rejected(self):
         """numpy's broadcast error before."""

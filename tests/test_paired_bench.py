@@ -76,3 +76,32 @@ def test_no_gain_from_an_incorrect_run_or_more_failures(change_side):
     runs = _runs(PARENT, [x - 20.0 for x in PARENT], **change_side)
     s = paired_bench.summarize(runs, SPEC)["job_ms"]
     assert s["wins"] == 10 and s["within_bound"] and not s["claimable_gain"]
+
+
+WIDE = [100.0, 100.0, 100.0, 100.0, 100.0, 150.0, 150.0, 150.0, 150.0, 150.0]  # IQR 50 of 125
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    """The parent's IQR is 40% of its median, above the 25% bound: a change within the bound
+    whose runs interleave with the parent's is unresolved, not ok."""
+    s = paired_bench.summarize(_runs(WIDE, WIDE[::-1]), SPEC)["job_ms"]
+    assert s["parent_iqr_rel"] == pytest.approx(0.4)
+    assert s["within_bound"] and s["unresolved"]
+    assert paired_bench._verdict(s) == "unresolved"
+    narrow = paired_bench.summarize(_runs(PARENT, PARENT), SPEC)["job_ms"]
+    assert not narrow["unresolved"] and paired_bench._verdict(narrow) == "ok"
+
+
+def test_every_change_run_better_resolves_a_wide_spread():
+    """Every change run (at most 99) reads better than every parent run (at least 100)."""
+    s = paired_bench.summarize(_runs(WIDE, [x - 51.0 for x in WIDE[::-1]]), SPEC)["job_ms"]
+    assert s["within_bound"] and not s["unresolved"]
+    assert paired_bench._verdict(s) == "ok"
+    s = paired_bench.summarize(_runs(WIDE, [x - 50.0 for x in WIDE[::-1]]), SPEC)["job_ms"]
+    assert s["unresolved"]  # a change run of 100 ties the best parent run
+
+
+def test_worse_outside_the_bound_even_when_unresolved():
+    s = paired_bench.summarize(_runs(WIDE, [x * 2.0 for x in WIDE]), SPEC)["job_ms"]
+    assert not s["within_bound"] and s["unresolved"]
+    assert paired_bench._verdict(s) == "WORSE"

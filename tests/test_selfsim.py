@@ -165,6 +165,10 @@ class TestStepFunction:
         np.testing.assert_array_equal(f.values, [0.0, 1.0, 1.5, 1.75])
         np.testing.assert_array_equal(f.breakpoints, [0.5, 0.75, 0.875])
 
+    def test_negative_depth_refused(self):
+        with pytest.raises(ss.OutOfRange, match="depth must be >= 0, got -1"):
+            ss.step_function(canonical(), -1)
+
     def test_plateau_jumps_are_the_masses(self):
         p = canonical(-1.0)
         f = ss.step_function(p, 6)

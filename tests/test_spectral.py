@@ -365,6 +365,15 @@ class TestEstimateC:
         assert rep.c_estimate == pytest.approx(1.0, rel=1e-9)
         assert rep.max_rel_dispersion <= 1e-9
 
+    def test_unrepresentable_c_k_refused(self):
+        """lambda_1 / q = -2.9e-155 / 7.7e174 underflows to -0.0: log(0) and 0/0 leaked two
+        RuntimeWarnings and the fit read c = -0.0 with a NaN dispersion."""
+        p = ss.make_params(0.17979529774045622, 7.18043429808337e-175, -4.91478101653579e+42,
+                           -2.347860026033957e+155)
+        spec = ss.compute_spectrum(p, 1, "green-kernel")
+        with pytest.raises(ss.RangeOverflow, match=r"c_k = lambda_k / q\^k = -0.0 at k = 1 "):
+            ss.estimate_c(spec)
+
     def test_window_validation(self):
         spec = _synthetic(P, 4.0 ** np.arange(1, 6, dtype=float))
         with pytest.raises(ss.EmptyWindow):

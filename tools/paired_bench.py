@@ -18,10 +18,14 @@ beside the metric's bound from BENCHMARK.json; the relative change of the
 medians, positive when better; the pairs the change wins, loses and ties;
 whether the median gain exceeds the parent's IQR and the change wins at
 least 9 in 10 pairs, with every run correct and no larger share of
-failed operations than the parent's (a claimable gain); and whether the
-change's median stays within the bound of the parent's. Per workload it
-also holds each side's share of failed operations and whether every run
-was correct. A summary table goes to standard output.
+failed operations than the parent's (a claimable gain); whether the
+change's median stays within the bound of the parent's; and whether the
+metric is unresolved: the parent's IQR, relative to its median, is wider
+than the bound, and not every change run reads better than every parent
+run, so within the bound does not mean unchanged. Per workload it also
+holds each side's share of failed operations and whether every run was
+correct. A summary table goes to standard output; its bound column reads
+WORSE outside the bound, else unresolved or ok.
 """
 
 from __future__ import annotations
@@ -80,9 +84,10 @@ def _failed_frac(runs: list[dict], side: str) -> float:
 
 def summarize(runs: list[dict], spec: list[dict]) -> dict:
     """Per end-to-end metric of BENCHMARK.json: both sides' quartiles, the parent's IQR against
-    the bound, the pairs won, and whether the gain is claimable and the change within bound.
-    No gain is claimable where a run is not correct or the change fails a larger share of
-    its operations than the parent."""
+    the bound, the pairs won, whether the gain is claimable and the change within bound, and
+    whether the metric is unresolved (the parent's spread wider than the bound, and some
+    change run no better than some parent run). No gain is claimable where a run is not
+    correct or the change fails a larger share of its operations than the parent."""
     sound = (all(r[side]["correct"] for r in runs for side in ("parent", "change"))
              and _failed_frac(runs, "change") <= _failed_frac(runs, "parent"))
     out = {}
@@ -104,8 +109,15 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
             "wins": wins, "losses": losses, "ties": len(runs) - wins - losses,
             "claimable_gain": sound and wins >= 0.9 * len(runs) and gain > iqr,
             "within_bound": -gain / scale <= m["bound"],
+            "unresolved": (iqr / scale > m["bound"]
+                           and min(sign * y for y in chg) <= max(sign * x for x in par)),
         }
     return out
+
+
+def _verdict(s: dict) -> str:
+    """The bound column of the summary table for one metric's summary s."""
+    return "WORSE" if not s["within_bound"] else "unresolved" if s["unresolved"] else "ok"
 
 
 def main(argv=None) -> int:
@@ -147,7 +159,7 @@ def main(argv=None) -> int:
                   f" {s['change']['median']:14.6g} {s['median_gain_rel']:+8.2%}"
                   f" {s['parent_iqr_rel']:.3f}/{s['bound']:<4g} {s['wins']:3d}/{len(rec['runs'])}"
                   f"  {'yes' if s['claimable_gain'] else 'no':5}"
-                  f"  {'ok' if s['within_bound'] else 'WORSE'}")
+                  f"  {_verdict(s)}")
     return 0
 
 
