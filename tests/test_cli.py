@@ -104,7 +104,6 @@ class TestExitCodes:
             (("matrix", "--kind", "sym", "--n", "0"), "order must be >= 1"),
             (("asymptotics", "--n", "10", "--window", "50:60"), "empty window"),
             (("asymptotics", "--n", "10", "--window", "5"), "window"),
-            (("asymptotics", "--n", "10", "--window", "1:x"), "with integer bounds"),
             (("spectrum", "--n", "2", "--count", "5"), "count"),
             # verify runs one fixed suite and has no --formulation flag
             (
@@ -124,6 +123,8 @@ class TestExitCodes:
             ),
             # verify prints PASS/FAIL lines and has no --format flag
             (("verify", "--format", "json"), "unrecognized arguments: --format json"),
+            # a window bound that is not an integer
+            (("asymptotics", "--n", "10", "--window", "1:x"), "with integer bounds"),
         ],
     )
     def test_validation_failures_are_two(self, argv, needle):
