@@ -338,9 +338,10 @@ def _gershgorin(diag, off, mass) -> tuple[float, float]:
     """Interval holding every eigenvalue of T y = lambda*diag(mass) y.
 
     Gershgorin on sign(m) |M|^(-1/2) T |M|^(-1/2): row i has centre d_i/m_i
-    and radius the scaled off-diagonals |e|/sqrt(|m_i*m_j|) beside it. The
-    interval is widened by 1e-10 of its largest end; a row that overflows
-    (tiny masses) widens it to the whole line.
+    and radius the scaled off-diagonals |e|/sqrt(|m_i*m_j|) beside it. Its
+    finite ends are widened by 1e-10 of its largest end; a row that overflows
+    (tiny masses) widens them to the whole line. An infinite end is kept, so
+    where every disc lies at one infinity the interval is that point, not NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         root = np.sqrt(np.abs(mass))
@@ -353,7 +354,7 @@ def _gershgorin(diag, off, mass) -> tuple[float, float]:
     glo = float(np.min(np.where(np.isnan(lo), -np.inf, lo)))
     ghi = float(np.max(np.where(np.isnan(hi), np.inf, hi)))
     pad = 1e-10 * max(abs(glo), abs(ghi), 1.0)
-    return glo - pad, ghi + pad
+    return (glo - pad if math.isfinite(glo) else glo), (ghi + pad if math.isfinite(ghi) else ghi)
 
 
 def _probe_grid(glo: float, ghi: float) -> np.ndarray:
@@ -493,7 +494,8 @@ def _band_round(X: tuple, cur: int, plan: _Round, rot_tol: float) -> bool:
     p < q, and those at or below rot_tol get t = 0, which copies their rows. A's rows rotate
     into B, B^T is copied into A, and A's rows rotate into B again: B = R A^T R^T, symmetric
     to roundoff where rotated rows and columns cross. Rutishauser updates the diagonal;
-    rotated pairs' a_pq and a_qp become zero.
+    rotated pairs' a_pq and a_qp become zero. A plan with no pair (a round (s, s) with
+    2s >= n, which _jacobi never plans) rotates nothing.
     """
     A, B, v = X[cur], X[1 - cur], plan.views
     src, dst, before, after = v[cur::4], v[1 - cur :: 4], v[2 + cur :: 4], v[3 - cur :: 4]
@@ -543,10 +545,15 @@ def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
     _MU_GUARD in magnitude is counted in dropped; residual_bound is the
     relative off-diagonal Jacobi leaves. LAPACK's Cholesky passes a NaN
     pivot through rather than reject it; Jacobi then raises NonConvergence.
-    Masses all below 1/2 are scaled by 2^-e (e < 0 even; exact through the
-    square roots) and mu by 2^e, lest H underflow and the Cholesky refuse it.
+    The masses are scaled by 2^-e (e even, exact through the square roots)
+    so that the largest |mass| lies in [1/2, 2), lest H underflow and the
+    Cholesky refuse it or L^T S L overflow; lambda = 2^-e/mu, and mu is
+    dropped where |mu*2^e| < _MU_GUARD, a test that neither overflows nor
+    underflows near the guard. 2^-e is infinite only where every mass lies
+    below 2^-1023, and there every mu, at most 2*||G|| in magnitude, is
+    dropped.
     """
-    e = min(0, 2 * (math.frexp(float(np.max(np.abs(masses))))[1] // 2))
+    e = 2 * (math.frexp(float(np.max(np.abs(masses))))[1] // 2)
     W = np.sqrt(np.ldexp(np.abs(masses), -e))
     H = G  # H, then S L, then L^T S L share G's buffer
     H *= W[:, None]
@@ -561,11 +568,11 @@ def solve_green(G: np.ndarray, masses: np.ndarray) -> EigenvalueList:
     H *= 0.5
     del T
     mu, rel, sweeps = _jacobi(H)
-    mu = np.ldexp(mu, e)
-    keep = np.abs(mu) >= _MU_GUARD
+    with np.errstate(over="ignore"):  # an overflowing |mu*2^e| is kept, as it should be
+        keep = np.ldexp(np.abs(mu), e) >= _MU_GUARD
     if not keep.any():
         raise ZeroEigenvalue("all reciprocal eigenvalues below the underflow guard")
-    values = np.sort(1.0 / mu[keep])
+    values = np.sort(np.ldexp(1.0, -e) / mu[keep])
     return EigenvalueList(
         values, residual_bound=rel, method="jacobi", dropped=int(np.sum(~keep)), passes=sweeps
     )

@@ -444,6 +444,18 @@ class TestOutputContracts:
         assert out == ""
         assert err.startswith("ZeroEigenvalue")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--a", "0.5", "--d", "1e-150", "--beta1", "5e-324", "--beta2", "0", "--n", "5"),
+        ("spectrum", "--a", "0.3", "--d", "-0.5", "--beta1", "1e-308", "--beta2", "1e-308",
+         "--n", "1"),
+    ])
+    def test_negative_subnormal_mass_beyond_the_range_guard_is_three(self, argv):
+        """A lone negative subnormal mass puts its eigenvalue at -inf: the Gershgorin interval
+        read (-inf, NaN) and the probe grid raised ValueError (exit 1 with a traceback)."""
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("ZeroEigenvalue")
+
     def test_verify_with_edge_terms_beyond_range(self):
         """(q/d)^N passes 1e308 at this point: the symmetry check runs at the
         order where its edge terms fit and every check still reports."""

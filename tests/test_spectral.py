@@ -168,6 +168,20 @@ class TestInertiaCore:
         assert green.dropped == fem.dropped > 0
         assert np.max(np.abs(green.values - fem.values) / np.abs(fem.values)) <= 1e-13
 
+    @pytest.mark.parametrize("args,N,rtol", [((0.9, 0.9, 0.0, 1e308), 60, 1e-13),
+                                             ((0.9, 0.9, 0.0, 1e308), 300, 1e-13),
+                                             ((0.999, 0.999, 1e-308, 1e308), 100, 1e-12)])
+    def test_green_matches_pencil_at_huge_masses(self, args, N, rtol):
+        """Masses near 1e308: unscaled, L^T S L overflowed (a RuntimeWarning, eigenvalues up
+        to 0.149 off fem at (0.9, 0.9) N = 60, a non-finite Jacobi coupling at (0.999, 0.999)
+        N = 1000). solve_green scales the largest mass to about 1 whatever its size. The
+        weakly graded point keeps fewer digits at the top of its spectrum."""
+        p = ss.make_params(*args)
+        fem = ss.compute_spectrum(p, N, "fem-pencil")
+        green = ss.compute_spectrum(p, N, "green-kernel")
+        assert green.dropped == fem.dropped == 0
+        np.testing.assert_allclose(green.values, fem.values, rtol=rtol)
+
     def test_section_reaches_max_order(self):
         """Sturm counts no longer square the off-diagonal, so the section
         runs at every order the range guard admits."""
@@ -235,8 +249,8 @@ def _check_direct(spec, pencil):
 
 class TestOrderContinuation:
     """Where a and |d| are powers of two, compute_spectrum solves the fem and section pencils
-    of order N from order M = ceil((N + K0 + T)/2), recursively, and certifies the mapped
-    candidates by one count per level."""
+    of order N from the base order M = K0 + T + 1, solved directly, and certifies the mapped
+    candidates by one count."""
 
     @pytest.mark.parametrize("form", PENCIL_FORMS)
     @pytest.mark.parametrize("args", DYADIC)
@@ -280,14 +294,47 @@ class TestOrderContinuation:
         want = _check_direct(spec, _pencil(p, N, form))
         np.testing.assert_array_equal(spec.values, want.values)
 
+    @pytest.mark.parametrize("args", DYADIC[:2])
+    @pytest.mark.parametrize("form,N", [*[("fem-pencil", N) for N in (60, 150, 300, 481)],
+                                        *[("jacobi-section", N) for N in (150, 300, 481)]])
+    def test_middle_is_exactly_q_geometric(self, args, N, form):
+        """The ladders' dyadic classes: by magnitude, 0-based, lambda_(k+1) = q*lambda_k bit
+        for bit for K0 <= k < N - T - 2, and the middle is mag_K0 * q^i of the base order M =
+        K0 + T + 1, as the guess takes it. (Not every dyadic point is exact there: a few
+        section solves at a = 1/2, d = -1/8 miss it at one index, and the counts close it.)"""
+        p = ss.make_params(*args)
+        k0, T = spectral._exact_depths(p, form)
+        spec = ss.compute_spectrum(p, N, form)
+        mag = spectral._by_magnitude(spec.values)
+        base = spectral._by_magnitude(ss.compute_spectrum(p, k0 + T + 1, form).values)
+        assert len(mag) == N and spec.info.levels == 2
+        np.testing.assert_array_equal(mag[k0 + 1 : N - T - 1], p.q * mag[k0 : N - T - 2])
+        np.testing.assert_array_equal(mag[k0 : N - T - 1],
+                                      base[k0] * p.q ** np.arange(N - T - 1 - k0))
+
+    @pytest.mark.parametrize("form", PENCIL_FORMS)
+    @pytest.mark.parametrize("args,N", [((0.5, 0.5, 0.0, 1e-285), 129),
+                                        ((0.25, 0.25, 0.0, 1e-283), 68)])
+    def test_base_keeping_at_most_k0_eigenvalues(self, args, N, form):
+        """Masses near the range guard: the base order keeps only its K0 smallest
+        magnitudes, and those are the whole guess, with no middle (reading mag_K0 raised
+        IndexError). The values and dropped are the direct solve's."""
+        p = ss.make_params(*args)
+        k0, T = spectral._exact_depths(p, form)
+        assert len(ss.compute_spectrum(p, k0 + T + 1, form).values) <= k0
+        spec = ss.compute_spectrum(p, N, form)
+        want = ss.solve_pencil(_pencil(p, N, form))
+        np.testing.assert_array_equal(spec.values, want.values)
+        assert spec.dropped == want.dropped and spec.info.levels == 2
+
     def test_counts_summed_over_levels_at_canonical_order_300(self, monkeypatch):
-        """The direct solve takes 9 counts and 3 Rayleigh sweeps here. Continued, order 29
-        is solved directly (5 counts, 3 sweeps) and orders 30, 31, 33, 37, 45, 62, 96, 164
-        and 300 take one count each: 14 counts over 10 levels, the sweeps all at the base."""
+        """The direct solve takes 9 counts and 3 Rayleigh sweeps here. Continued, the base
+        order 29 is solved directly (5 counts, 3 sweeps) and order 300 takes one count: 6
+        counts over 2 levels, the sweeps all at the base."""
         sweeps, twist = [], eigensolve._twist
         monkeypatch.setattr(eigensolve, "_twist", lambda *a: sweeps.append(len(a[3])) or twist(*a))
         info = ss.compute_spectrum(P, 300).info
-        assert (info.passes, info.levels, len(sweeps)) == (14, 10, 3)
+        assert (info.passes, info.levels, len(sweeps)) == (6, 2, 3)
         assert info.method == "bisect" and info.residual_bound <= np.finfo(float).eps
 
     @pytest.mark.parametrize("args,N", [((0.9, -1.0, 0.0, 1.0), 100), ((0.2, -1.5, 0.3, 1.0), 120),
