@@ -379,16 +379,18 @@ def _probe_grid(glo: float, ghi: float) -> np.ndarray:
     return np.sort(np.concatenate(probes))
 
 
-def _couplings(A: np.ndarray, rot_tol: float) -> tuple[float, int]:
-    """The largest |a_pq| / max(sqrt|a_pp| * sqrt|a_qq|, tiny), p < q (NaN if one is), and
-    the widest q - p above rot_tol (0 if none), _BLOCK rows at a time.
+def _couplings(A: np.ndarray, rot_tol: float) -> tuple[float, int, tuple[int, int] | None]:
+    """The largest |a_pq| / max(sqrt|a_pp| * sqrt|a_qq|, tiny), p < q (NaN if one is), the
+    widest q - p above rot_tol (0 if none), and the first pair p < q, row by row, whose ratio
+    is NaN (None if none), in one scan of A, _BLOCK rows at a time.
 
     Only p < q is read, as by _band_round's rotation test: A is symmetric to roundoff only,
     and a pair the stop test saw above rot_tol but its round declined would sweep to the cap.
+    The scan goes on past a NaN pair, so the band is still every pair's.
     """
     n = A.shape[0]
     root = np.sqrt(np.abs(np.diagonal(A)))
-    tops, band = [0.0], 0
+    tops, band, nan = [0.0], 0, None
     for b in range(0, n, _BLOCK):
         k = min(_BLOCK, n - b)
         r = np.multiply.outer(root[b : b + k], root[b:])  # rows b.., columns b..
@@ -396,10 +398,13 @@ def _couplings(A: np.ndarray, rot_tol: float) -> tuple[float, int]:
         np.abs(np.divide(A[b : b + k, b:], r, out=r), out=r)
         r[:, :k] = np.triu(r[:, :k], 1)
         tops.append(r.max())
+        if nan is None and math.isnan(tops[-1]):
+            p, q = divmod(int(np.argmax(np.isnan(r))), r.shape[1])  # the first in row order
+            nan = b + p, b + q
         i, j = np.arange(k), np.argmax((r > rot_tol)[:, ::-1], axis=1)  # j columns from the last
         hit = r[i, -1 - j] > rot_tol  # the row has a column above rot_tol, and -1 - j is its last
         band = max(band, int(np.max((n - 1 - b - j - i)[hit], initial=0)))
-    return float(np.max(tops)), band
+    return float(np.max(tops)), band, nan
 
 
 def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -412,7 +417,8 @@ def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float, int]:
     rotated matrix into the other of two buffers. Rounds are planned once per solve: the
     first sweep to reach (s, o) builds its _Round, views of both buffers and ints only, and
     later sweeps take it from a table that is dropped on return. A NaN ratio (from a NaN or
-    an infinite entry) raises NonConvergence naming its pair and sweep at once.
+    an infinite entry) raises NonConvergence at once, naming the first such pair, which the
+    same scan of _couplings found, and the sweep; A is not read again.
     """
     n = A.shape[0]
     rot_tol = max(1e-15, 4 * n * _EPS)
@@ -420,9 +426,9 @@ def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float, int]:
     plans = {}  # (s, o) -> _Round
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(_SWEEP_CAP + 1):
-            rel, w = _couplings(X[cur], rot_tol)
-            if math.isnan(rel):
-                a, (p, q) = X[cur], _nan_pair(X[cur])
+            rel, w, nan = _couplings(X[cur], rot_tol)
+            if nan:
+                (p, q), a = nan, X[cur]
                 raise NonConvergence(
                     f"Jacobi coupling of ({p}, {q}) is not finite at sweep {sweep}: a_pp, a_pq, "
                     f"a_qq = {float(a[p, p])!r}, {float(a[p, q])!r}, {float(a[q, q])!r}")
@@ -437,17 +443,6 @@ def _jacobi(A: np.ndarray) -> tuple[np.ndarray, float, int]:
                     if _band_round(X, cur, plans[s, o], rot_tol):
                         cur = 1 - cur
     return np.sort(np.diagonal(X[cur])), rel, sweep
-
-
-def _nan_pair(A: np.ndarray) -> tuple[int, int]:
-    """The first pair p < q, row by row, whose ratio in _couplings is NaN; A must hold one."""
-    root = np.sqrt(np.abs(np.diagonal(A)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for p in range(A.shape[0]):
-            r = np.abs(A[p, p + 1 :] / np.maximum(root[p] * root[p + 1 :], np.finfo(float).tiny))
-            nan = np.flatnonzero(np.isnan(r))
-            if len(nan):
-                return p, p + 1 + int(nan[0])
 
 
 class _Round(NamedTuple):
@@ -664,7 +659,9 @@ def _seed(diag, off, mass, glo: float, ghi: float, guess=None):
     """solve_pencil's seeding step: (idxs, los, his, counts taken), the kept indices and their
     brackets, each between two counted probes. The first count's seed is the guess's probes
     (_guess_probes) or every _COARSE-th grid point, the last and any at 0.0; the second, if a
-    bracket is still wider than adjacent doubles, the grid points strictly inside the open ones."""
+    bracket is still wider than adjacent doubles, the grid points strictly inside the open ones
+    and, after a guess, the two doubles just inside the ends of each, once each: a candidate a
+    few ulps off ends a bracket ulps from its eigenvalue, which _rayleigh's estimates miss."""
     if guess is None:
         grid = _probe_grid(glo, ghi)
         at = grid == 0.0
@@ -689,6 +686,10 @@ def _seed(diag, off, mass, glo: float, ghi: float, guess=None):
     first, stop = np.searchsorted(grid, los[wide], "right"), np.searchsorted(grid, his[wide])
     over = np.bincount(first, minlength=len(grid)) - np.bincount(stop, minlength=len(grid))
     inside = grid[np.cumsum(over) > 0]
+    if guess is not None:  # a candidate ulps off leaves its eigenvalue next to a bracket end
+        ends = np.nextafter(los[wide], his[wide]), np.nextafter(his[wide], los[wide])
+        inside = np.sort(np.concatenate((inside, *ends)))
+        inside = inside[np.diff(inside, prepend=-np.inf) != 0.0]
     if len(inside):
         probes = np.concatenate((probes, inside))
         counts = np.concatenate((counts, _counts_below(diag, off, mass, inside)))
@@ -723,7 +724,9 @@ def solve_pencil(p: PencilProblem, guess=None) -> EigenvalueList:
     them, see spectral), is the seed instead: each candidate inside the
     Gershgorin interval and its two adjacent doubles. An index whose bracket
     from these probes is two adjacent doubles is closed at once, and the
-    grid is built and counted only if one is left open. The counts judge the
+    grid is built and counted only if one is left open, in the same count
+    as the two doubles just inside the ends of each open bracket, where the
+    eigenvalue of a candidate a few ulps off lies. The counts judge the
     guess as they judge every probe, so a wrong candidate costs counts, not
     accuracy, and where the count is monotone the result is the solve
     without a guess, bit for bit. passes counts the seeding step's counts.

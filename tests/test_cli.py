@@ -532,6 +532,10 @@ class TestImports:
         ("spectrum", "--formulation", "fem", "--n", "100"),  # order continuation fires
         ("spectrum", "--formulation", "jacobi", "--n", "100"),
         ("verify", "--n", "60"),
+        # README's dyadic section point: the continued order's second count also probes the
+        # doubles just inside the ends of the brackets its first count left open
+        ("spectrum", "--formulation", "jacobi", "--a", "0.5", "--d", "-0.125", "--beta1",
+         "0.06305480040945466", "--beta2", "0.2179661732686582", "--n", "122"),
     ], ids=" ".join)
     def test_solving_loads_no_masked_arrays(self, argv):
         code, mods = _imported("-m", "selfsimspec.cli", *argv)

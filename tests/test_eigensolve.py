@@ -626,8 +626,9 @@ class TestGuess:
 
     def test_open_brackets_count_the_grid_inside_them_once(self, monkeypatch):
         """Canonical fem at N = 300 with the upper half of the candidates 37% high: the
-        second count probes only grid points, strictly inside the brackets the first left
-        open, and the solve takes 6 counts (7 when the whole grid was counted again)."""
+        second count probes only grid points and the doubles just inside the ends of the
+        brackets the first left open, none counted before, and the solve takes 6 counts (7
+        when the whole grid was counted again)."""
         pencil = _route_pencil(P, 300, "fem")
         want = ss.solve_pencil(pencil)
         guess = want.values.copy()
@@ -641,16 +642,18 @@ class TestGuess:
         K, M, guard = pencil.K, pencil.M, 1.0 / eigensolve._MU_GUARD
         grid = eigensolve._probe_grid(*np.clip(eigensolve._gershgorin(K.diag, K.offdiag, M),
                                                -guard, guard))
-        assert np.isin(calls[1], grid).all() and not np.isin(calls[1], calls[0]).any()
+        ends = np.concatenate((grid, *(np.nextafter(calls[0], x) for x in (-np.inf, np.inf))))
+        assert np.isin(calls[1], ends).all() and not np.isin(calls[1], calls[0]).any()
         assert len(calls[1]) < len(grid) // 4
 
     @pytest.mark.parametrize("params,N,passes,levels", [
-        ((0.5, -0.125, 0.06305480040945466, 0.2179661732686582), 122, 20, 2),
-        ((0.125, -0.25, -0.47926269613649675, -0.2916721215459058), 104, 24, 2),
+        ((0.5, -0.125, 0.06305480040945466, 0.2179661732686582), 122, 7, 2),
+        ((0.125, -0.25, -0.47926269613649675, -0.2916721215459058), 104, 7, 2),
     ])
     def test_continuation_levels_left_open(self, params, N, passes, levels):
-        """Dyadic section points where the continued order leaves brackets open: it takes
-        one count of the grid inside them, and the values are the direct solve's."""
+        """Dyadic section points where the continued order leaves brackets open, with their
+        eigenvalues ulps inside an end: it takes one count of the grid and of the doubles just
+        inside the ends of those brackets, and the values are the direct solve's."""
         p = ss.make_params(*params)
         got = ss.compute_spectrum(p, N, "jacobi-section")
         want = ss.solve_pencil(spectral._section_pencil(p, N))
@@ -1083,6 +1086,15 @@ class TestDenseJacobi:
         with pytest.raises(ss.NonConvergence, match=r"\(0, 1\) is not finite at sweep 1"):
             _jacobi(np.array([[1.0, np.inf], [np.inf, 2.0]]))
 
+    def test_nan_past_the_first_row_block_is_named_by_its_pair(self):
+        """The stop test's scan names the pair in the whole matrix's indices, not in those of
+        the row block that holds it (rows 32..63 at n = 70)."""
+        A = np.diag(np.arange(1.0, 71.0))
+        A[40, 65] = A[65, 40] = np.nan
+        with pytest.raises(ss.NonConvergence,
+                           match=r"coupling of \(40, 65\) is not finite at sweep 0: .*, nan, 66\.0$"):
+            _jacobi(A)
+
     def test_sweep_cap_is_named(self, monkeypatch):
         """A solve that needs more sweeps than the cap names the cap."""
         monkeypatch.setattr(eigensolve, "_SWEEP_CAP", 1)
@@ -1268,7 +1280,7 @@ class TestDenseJacobi:
         if n > 1:
             quiet[0, n - 1] = 0.5 * rot_tol * np.sqrt(quiet[0, 0] * quiet[n - 1, n - 1])
         for M in (A, nan, quiet):
-            rel, w = eigensolve._couplings(M, rot_tol)
+            rel, w, _ = eigensolve._couplings(M, rot_tol)
             want_rel, want_w = _brute_couplings(M, rot_tol)
             assert w == want_w
             assert np.float64(rel).tobytes() == np.float64(want_rel).tobytes()

@@ -53,6 +53,7 @@ def _export(rev: str, dest: Path) -> str:
                           stdout=subprocess.PIPE) as proc:
         with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
             tar.extractall(dest, filter="data")
+        proc.stdout.read()  # the padding after the end marker, or git may die of SIGPIPE
     if proc.returncode:
         raise RuntimeError(f"git archive {sha} exited {proc.returncode}")
     return sha
